@@ -18,6 +18,8 @@ MEMBERSHIP_TOL = 1e-9
 # directions of the coarse gauge/support scan
 GAUGE_GRID_2D = 512
 GAUGE_GRID_3D = 4096
+# ratios per block of the coarse scan: about 1 MB of doubles, cache-sized
+GAUGE_BLOCK_RATIOS = 2 ** 17
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +326,25 @@ class ConvexBody:
             g[mask] = self._gauge_refine(pts[mask], idx[mask], g[mask])[0]
         return g
 
-    def _gauge_coarse(self, pts, chunk=16384):
+    def _gauge_coarse(self, pts):
+        """Largest grid ratio <p, u> / H(u) per row, and the grid index of it.
+
+        Rows are scanned in blocks of about GAUGE_BLOCK_RATIOS ratios (256
+        rows of the 2D grid, 32 of the 3D grid), so each block's ratio matrix
+        stays near 1 MB and is still in cache when argmax reads it back.
+        The inner dimension is 2 or 3, so every row's ratios, and with them
+        g and idx, do not depend on the block size.
+        """
         U, h, Uh = self._gauge_grid()
+        block = GAUGE_BLOCK_RATIOS // len(U)
         g = np.empty(len(pts))
         idx = np.empty(len(pts), dtype=np.intp)
-        for a in range(0, len(pts), chunk):
-            b = min(a + chunk, len(pts))
+        rows = np.arange(block)
+        for a in range(0, len(pts), block):
+            b = min(a + block, len(pts))
             ratios = pts[a:b] @ Uh.T
             idx[a:b] = np.argmax(ratios, axis=1)
-            g[a:b] = ratios[np.arange(b - a), idx[a:b]]
+            g[a:b] = ratios[rows[:b - a], idx[a:b]]
         return g, idx
 
     def _gauge_objective(self, pts, dirs):

@@ -431,3 +431,34 @@ class TestGauge:
         G = Ellipsoid.from_semiaxes(2.0, 1.0)
         pts = np.array([[0.0, 0.0], [1.99, 0.0], [0.0, 1.01], [3.0, 3.0]])
         assert list(G.contains(pts)) == [True, True, False, False]
+
+    def test_coarse_scan_independent_of_block(self):
+        # point counts that are not multiples of the 256- and 32-row blocks
+        for G, n in ((Ellipsoid.from_semiaxes(2.0, 1.0), 1000),
+                     (Ellipsoid.from_semiaxes(1.5, 1.0, 0.8), 100)):
+            K = difference_body(G)
+            pts = RNG.normal(size=(n, G.dim))
+            _, _, Uh = K._gauge_grid()
+            ratios = pts @ Uh.T
+            idx = np.argmax(ratios, axis=1)
+            g, got = K._gauge_coarse(pts)
+            assert np.array_equal(got, idx)
+            assert np.array_equal(g, ratios[np.arange(n), idx])
+
+    def test_empty_input(self):
+        # the pruned QMC predicates can hand a body no points at all
+        E = Ellipsoid.from_semiaxes(2.0, 1.0)
+        bodies = _zoo() + [
+            ReuleauxTriangle2D(1.0),
+            difference_body(E),
+            difference_body(Ellipsoid.from_semiaxes(1.5, 1.0, 0.8)),
+            Dilate(difference_body(E), 0.5),
+            Translate(difference_body(E), [0.3, -0.2]),
+            Reflect(Superellipse2D(4.0)),
+        ]
+        for body in bodies:
+            empty = np.empty((0, body.dim))
+            for refine in ("auto", "all", "none"):
+                assert body.gauge_many(empty, refine=refine).shape == (0,)
+            inside = body.contains(empty)
+            assert inside.shape == (0,) and inside.dtype == bool

@@ -7,13 +7,13 @@ import pytest
 from scipy.special import gamma
 
 from kdense.bodies import (Ball, Dilate, Ellipsoid, MinkowskiSum,
-                           Superellipse2D, boundary_points, difference_body,
-                           sphere_directions)
+                           Superellipse2D, Translate, boundary_points,
+                           difference_body, sphere_directions)
 from kdense.errors import SingularCurvature
 from kdense.measure import (QuadratureGrid, bounding_box, circumscribed_ratio,
-                            deficit_volume, gauge, halfspace_cut_volume,
-                            intersection_volume, volume, volume_qmc,
-                            volume_quadrature)
+                            _sobol, deficit_volume, gauge,
+                            halfspace_cut_volume, intersection_volume, volume,
+                            volume_qmc, volume_quadrature)
 from kdense.oracles import disk_lens_area
 
 FAST = dict(n=2 ** 13, replicates=4, seed=0)
@@ -139,6 +139,54 @@ class TestIntersectionVolume:
     def test_invalid_r(self):
         with pytest.raises(ValueError):
             intersection_volume(Ball(1.0), Ball(1.0), np.zeros(2), 0.0)
+
+
+class TestPrunedPredicates:
+    """The QMC routes skip K's gauge where it cannot matter; the counts
+    must equal those of the plain indicators over the same Sobol points."""
+
+    N = 2 ** 12
+
+    @staticmethod
+    def _pairs():
+        E = Ellipsoid.from_semiaxes(2.0, 1.0)
+        S = Superellipse2D(4.0)
+        E3 = Ellipsoid.from_semiaxes(1.5, 1.0, 0.8)
+        return [(E, difference_body(E)),
+                (S, difference_body(S)),
+                (E3, difference_body(E3)),
+                # off-centre K: its support box is asymmetric about 0
+                (E, Translate(difference_body(E), [0.6, -0.3]))]
+
+    def _plain(self, dim, box, indicator):
+        lo, hi = box
+        pts = lo + _sobol(dim, self.N, 0, 0) * (hi - lo)
+        return float(np.mean(indicator(pts))) * float(np.prod(hi - lo))
+
+    def test_overlap_and_deficit(self):
+        for G, K in self._pairs():
+            box = bounding_box(G)
+            for x in boundary_points(G, sphere_directions(G.dim, 3)):
+                for r in (0.1, 0.5, 0.99):
+                    def in_copy(P):
+                        return K.contains((P - x) / r)
+                    inter = intersection_volume(G, K, x, r, n=self.N,
+                                                replicates=1, seed=0)
+                    assert inter.value == self._plain(
+                        G.dim, box, lambda P: G.contains(P) & in_copy(P))
+                    defi = deficit_volume(G, K, x, r, n=self.N,
+                                          replicates=1, seed=0)
+                    assert defi.value == self._plain(
+                        G.dim, box, lambda P: G.contains(P) & ~in_copy(P))
+
+    def test_halfspace_cut(self):
+        for _, K in self._pairs():
+            box = bounding_box(K)
+            for u in sphere_directions(K.dim, 4):
+                cut = halfspace_cut_volume(K, u, n=self.N, replicates=1,
+                                           seed=0)
+                assert cut.value == self._plain(
+                    K.dim, box, lambda P: K.contains(P) & (P @ u >= 0.0))
 
 
 class TestHalfspaceCut:

@@ -208,20 +208,20 @@ def _is_positive_definite(M):
 def curvature_symmetry_check(G, m=64):
     """max |kappa(u) - kappa(-u)| over m antipodal direction pairs.
 
-    Degenerate pairs are skipped; their count is returned alongside.
+    Degenerate pairs are skipped; their count is returned alongside.  When
+    every pair is skipped nothing was compared, and the maximum is NaN.
     """
     U = sphere_directions(G.dim, m)
-    worst = 0.0
-    skipped = 0
+    diffs = []
     for u in U:
         try:
             k1 = curvature(G, u).kappa
             k2 = curvature(G, -u).kappa
         except SingularCurvature:
-            skipped += 1
             continue
-        worst = max(worst, abs(k1 - k2))
-    return worst, skipped
+        diffs.append(abs(k1 - k2))
+    worst = max(diffs) if diffs else float("nan")
+    return worst, len(U) - len(diffs)
 
 
 def symmetry_center(G, m=64):

@@ -2,8 +2,12 @@
 
 Every body exposes the 1-homogeneous extension H(v) = |v| h(v/|v|) of its
 support function, plus its gradient (the boundary point with a given
-outward normal) and Hessian (the reverse Weingarten data).  The Minkowski
-algebra (sums, dilations, translations, reflections) acts linearly on H.
+outward normal) and Hessian.  Curvature needs only the tangent block
+R = E' H(u) E of that Hessian in a frame E of the plane orthogonal to u
+(the reverse Weingarten map): ellipsoids, balls and angular profiles build
+it in closed form, other bodies project the full Hessian.  The Minkowski
+algebra (sums, dilations, translations, reflections) acts linearly on H
+and on the tangent block.
 """
 
 import math
@@ -266,6 +270,23 @@ class ConvexBody:
                 return h
         return self._fd_hessian(v)
 
+    def _tangent_block(self, u, E):
+        """Tangent block R = E' H(u) E of the Hessian, as nested floats.
+
+        u is a unit direction and E an (N, N-1) matrix whose columns are
+        an orthonormal basis of the plane orthogonal to u.  Analytic bodies
+        with a closed form build only the (N-1)x(N-1) block; the others,
+        and every finite-difference body, project ``hessian_hom``.
+        """
+        if self.derivative_mode == "analytic":
+            R = self._tangent_block_impl(u, E)
+            if R is not None:
+                return R
+        return (E.T @ self.hessian_hom(u) @ E).tolist()
+
+    def _tangent_block_impl(self, u, E):
+        return None
+
     def _fd_gradient(self, V):
         scale = np.linalg.norm(V, axis=1, keepdims=True)
         step = 1e-6 * np.maximum(scale, 1e-30)
@@ -419,6 +440,10 @@ class Ball(ConvexBody):
         u = v / n
         return self.radius * (np.eye(self.dim) - np.outer(u, u)) / n
 
+    def _tangent_block_impl(self, u, E):
+        r = self.radius
+        return [[r]] if self.dim == 2 else [[r, 0.0], [0.0, r]]
+
     def gauge_many(self, pts, refine="auto", margin=0.02):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return _offset_quadric_gauge(pts, np.eye(self.dim) / self.radius ** 2,
@@ -468,6 +493,7 @@ class Ellipsoid(ConvexBody):
         super().__init__(dim, **kw)
         self.Q = Q
         self.Qinv = np.linalg.inv(Q)
+        self._Q_upper = tuple(Q[np.triu_indices(dim)].tolist())
         self.center = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
         self._validate_positive()
 
@@ -488,6 +514,39 @@ class Ellipsoid(ConvexBody):
         Qv = self.Q @ v
         s = math.sqrt(v @ Qv)
         return self.Q / s - (Qv[:, None] * Qv) / s ** 3
+
+    def _tangent_block_impl(self, u, E):
+        # E' (Q/s - Qu u'Q/s^3) E with s^2 = u'Qu, from the upper triangle
+        # of Q; in 2D the one entry is det Q / s^3, because
+        # e'Qe u'Qu - (e'Qu)^2 = det Q det[u e]^2 and det[u e] = +-1
+        if self.dim == 2:
+            a, b, d = self._Q_upper
+            x, y = u.tolist()
+            s2 = a * x * x + 2.0 * b * x * y + d * y * y
+            return [[(a * d - b * b) / (s2 * math.sqrt(s2))]]
+        a, b, c, d, e, f = self._Q_upper
+        x, y, z = u.tolist()
+        (x1, x2), (y1, y2), (z1, z2) = E.tolist()
+        # Qu against u, e1, e2; then Qe1 against e1, e2; then Qe2 against e2
+        qx = a * x + b * y + c * z
+        qy = b * x + d * y + e * z
+        qz = c * x + e * y + f * z
+        s2 = x * qx + y * qy + z * qz
+        p1 = x1 * qx + y1 * qy + z1 * qz
+        p2 = x2 * qx + y2 * qy + z2 * qz
+        qx = a * x1 + b * y1 + c * z1
+        qy = b * x1 + d * y1 + e * z1
+        qz = c * x1 + e * y1 + f * z1
+        r11 = x1 * qx + y1 * qy + z1 * qz
+        r12 = x2 * qx + y2 * qy + z2 * qz
+        qx = a * x2 + b * y2 + c * z2
+        qy = b * x2 + d * y2 + e * z2
+        qz = c * x2 + e * y2 + f * z2
+        r22 = x2 * qx + y2 * qy + z2 * qz
+        s3 = s2 * math.sqrt(s2)
+        off = (r12 * s2 - p1 * p2) / s3
+        return [[(r11 * s2 - p1 * p1) / s3, off],
+                [off, (r22 * s2 - p2 * p2) / s3]]
 
     def gauge_many(self, pts, refine="auto", margin=0.02):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -537,6 +596,13 @@ class _Theta2DBody(ConvexBody):
         u = v / r
         uperp = np.array([-u[1], u[0]])
         return rad / r * np.outer(uperp, uperp)
+
+    def _tangent_block_impl(self, u, E):
+        t = np.arctan2(u[1:], u[:1])
+        d2h = self.d2h_theta(t)
+        if d2h is None:
+            return None
+        return [[float(self.h_theta(t)[0] + d2h[0])]]
 
 
 class FourierBody2D(_Theta2DBody):
@@ -719,6 +785,11 @@ class MinkowskiSum(ConvexBody):
     def _hessian_impl(self, v):
         return self.left.hessian_hom(v) + self.right.hessian_hom(v)
 
+    def _tangent_block_impl(self, u, E):
+        A = self.left._tangent_block(u, E)
+        B = self.right._tangent_block(u, E)
+        return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
 
 class Dilate(ConvexBody):
     kind = "dilate"
@@ -738,6 +809,10 @@ class Dilate(ConvexBody):
 
     def _hessian_impl(self, v):
         return self.factor * self.body.hessian_hom(v)
+
+    def _tangent_block_impl(self, u, E):
+        t = self.factor
+        return [[t * a for a in row] for row in self.body._tangent_block(u, E)]
 
     def gauge_many(self, pts, refine="auto", margin=0.02):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -765,6 +840,9 @@ class Translate(ConvexBody):
     def _hessian_impl(self, v):
         return self.body.hessian_hom(v)
 
+    def _tangent_block_impl(self, u, E):
+        return self.body._tangent_block(u, E)
+
 
 class Reflect(ConvexBody):
     """The reflection -K of a body through the origin."""
@@ -783,6 +861,9 @@ class Reflect(ConvexBody):
 
     def _hessian_impl(self, v):
         return self.body.hessian_hom(-v)
+
+    def _tangent_block_impl(self, u, E):
+        return self.body._tangent_block(-u, E)
 
     def gauge_many(self, pts, refine="auto", margin=0.02):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -816,15 +897,15 @@ class CurvatureData:
 
 
 def reverse_weingarten(body, u, frame=None):
-    """Reverse Weingarten matrix of the body at u, in the given frame.
+    """Reverse Weingarten matrix of the body at the unit direction u.
 
-    The frame's columns must span the hyperplane orthogonal to u (the frame
-    of -u is allowed, which lets antipodal curvatures share a basis).
+    The frame's columns must be an orthonormal basis of the hyperplane
+    orthogonal to u (the frame of -u is allowed, which lets antipodal
+    curvatures share a basis).
     """
-    u = np.asarray(u, dtype=float)
+    u = as_direction(u, body.dim)
     E = tangent_frame(u) if frame is None else frame
-    H = body.hessian_hom(u)
-    R = E.T @ H @ E
+    R = np.array(body._tangent_block(u, E))
     return 0.5 * (R + R.T), E
 
 
@@ -834,11 +915,12 @@ def curvature(body, u, frame=None):
     Raises SingularCurvature when the data is degenerate: a flat point
     (det R effectively zero), an infinitely curved one, or a direction
     where the support Hessian is not finite.  The tangent space has one or
-    two dimensions, so the determinant and inverse are closed forms.
+    two dimensions, so the determinant and inverse are closed forms on the
+    body's tangent block; the frame is as in ``reverse_weingarten``.
     """
     u = as_direction(u, body.dim)
     E = tangent_frame(u) if frame is None else frame
-    R = (E.T @ body.hessian_hom(u) @ E).tolist()
+    R = body._tangent_block(u, E)
     if body.dim == 2:
         (r11,), = R
         det_r = r11

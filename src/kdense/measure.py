@@ -155,10 +155,10 @@ def volume_quadrature(body, n=None):
 
 def _support_integral(body, grid):
     h = body.support_hom(grid.nodes)
-    vals = np.empty(len(grid.nodes))
-    for i, u in enumerate(grid.nodes):
-        vals[i] = np.linalg.det(curvature(body, u).R)
-    return grid.integrate(h * vals) / body.dim
+    # det R = 1 / kappa, from the closed-form 1x1 or 2x2 determinant
+    det_r = np.fromiter((1.0 / curvature(body, u).kappa for u in grid.nodes),
+                        float, len(grid.nodes))
+    return grid.integrate(h * det_r) / body.dim
 
 
 def volume(body, method="auto", n=None, qmc_points=DEFAULT_QMC_POINTS,

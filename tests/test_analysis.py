@@ -168,6 +168,13 @@ class TestSymmetry:
         assert 4.2 < worst < 40.0 / 9.0 + 0.01
         assert skipped == 0
 
+    def test_all_pairs_singular_is_nan(self):
+        # u or -u lies in a vertex sector of the Reuleaux triangle for
+        # every u, so no antipodal pair has finite curvature at both ends
+        worst, skipped = curvature_symmetry_check(ReuleauxTriangle2D(1.0), m=16)
+        assert math.isnan(worst)
+        assert skipped == 16
+
     def test_symmetry_center(self):
         c = symmetry_center(Ball(1.0, center=[0.3, -0.2]), m=64)
         assert np.allclose(c, [0.3, -0.2], atol=1e-9)

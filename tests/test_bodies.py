@@ -380,6 +380,108 @@ class TestCurvature:
             curvature(Ball(1.0), [2.0, 0.0])
 
 
+def _rotated_ellipsoid(rng, semiaxes, center=None):
+    dim = len(semiaxes)
+    R, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    Q = R @ np.diag(np.asarray(semiaxes, dtype=float) ** 2) @ R.T
+    return Ellipsoid(0.5 * (Q + Q.T), center=center)
+
+
+def _ellipsoid_kappa(Q, u):
+    """Gauss curvature (u'Qu)^((N+1)/2) / det Q of the ellipsoid with matrix Q."""
+    return (u @ Q @ u) ** (0.5 * (len(u) + 1)) / np.linalg.det(Q)
+
+
+class TestTangentBlock:
+    """The tangent block E'H(u)E that curvature and reverse_weingarten use."""
+
+    ECCENTRIC = [(2.0, 1.0), (50.0, 1.0), (200.0, 1.0),
+                 (2.0, 1.0, 1.5), (50.0, 1.0, 7.0), (200.0, 1.0, 7.0)]
+
+    def test_ellipsoid_kappa_closed_form(self):
+        rng = np.random.default_rng(21)
+        for axes in self.ECCENTRIC:
+            dim = len(axes)
+            for center in (None, rng.normal(size=dim) * 0.1 * min(axes)):
+                G = _rotated_ellipsoid(rng, axes, center)
+                # rounding in Q moves kappa by up to cond(Q) ulps
+                rtol = 1e-14 * (max(axes) / min(axes)) ** 2
+                for u in _units(dim, 24):
+                    assert curvature(G, u).kappa == pytest.approx(
+                        _ellipsoid_kappa(G.Q, u), rel=rtol, abs=0.0)
+
+    def test_combinators_kappa_closed_form(self):
+        # G - G, tG, G + v and -G of an ellipsoid with matrix Q are
+        # ellipsoids with matrices 4Q, t^2 Q, Q and Q
+        rng = np.random.default_rng(22)
+        for axes in self.ECCENTRIC:
+            dim = len(axes)
+            G = _rotated_ellipsoid(rng, axes, rng.normal(size=dim) * 0.1)
+            rtol = 1e-14 * (max(axes) / min(axes)) ** 2
+            cases = [(difference_body(G), 4.0 * G.Q),
+                     (Dilate(G, 2.5), 6.25 * G.Q),
+                     (Translate(G, rng.normal(size=dim) * 0.1), G.Q)]
+            for u in _units(dim, 12):
+                for body, Q in cases:
+                    assert curvature(body, u).kappa == pytest.approx(
+                        _ellipsoid_kappa(Q, u), rel=rtol, abs=0.0)
+                # -G in the frame of -u: the antipodal curvature of G
+                data = curvature(Reflect(G), u, frame=tangent_frame(-u))
+                assert data.kappa == pytest.approx(
+                    _ellipsoid_kappa(G.Q, u), rel=rtol, abs=0.0)
+
+    def test_block_equals_hessian_projection(self):
+        E2 = Ellipsoid.from_semiaxes(2.0, 1.0, center=[0.3, -0.2])
+        E3 = Ellipsoid.from_semiaxes(2.0, 1.0, 1.5, center=[0.1, 0.0, -0.2])
+        fd = dict(derivative_mode="finite-difference")
+        bodies = _zoo() + [
+            ReuleauxTriangle2D(1.0), E2, E3,
+            _rotated_ellipsoid(np.random.default_rng(23), (2.0, 1.0, 1.5)),
+            difference_body(E2), difference_body(E3), Dilate(E3, 2.5),
+            Translate(E2, [0.1, 0.2]), Reflect(E3),
+            MinkowskiSum(FourierBody2D([1.0, 0.0, 0.0, 0.1]), Ball(0.5)),
+            MinkowskiSum(E3, Ball(0.7, dim=3)),
+            Ellipsoid.from_semiaxes(2.0, 1.0, 1.5, **fd),
+            FourierBody2D([1.0, 0.0, 0.0, 0.1], **fd),
+            MinkowskiSum(E2, Ball(0.5), **fd),
+            MinkowskiSum(E3, Ellipsoid.from_semiaxes(1.0, 2.0, 1.0, **fd)),
+        ]
+        for body in bodies:
+            for u in map(as_direction, _units(body.dim, 8)):
+                for E in (tangent_frame(u), tangent_frame(-u)):
+                    R, _ = reverse_weingarten(body, u, E)
+                    ref = E.T @ body.hessian_hom(u) @ E
+                    assert np.linalg.norm(R - ref) <= \
+                        1e-13 * np.linalg.norm(ref), body
+
+    def test_closed_forms_skip_the_hessian(self, monkeypatch):
+        calls = []
+        hessian_hom = ConvexBody.hessian_hom
+
+        def counting(self, v):
+            calls.append(self)
+            return hessian_hom(self, v)
+
+        monkeypatch.setattr(ConvexBody, "hessian_hom", counting)
+        for G in (Ellipsoid.from_semiaxes(2.0, 1.0, center=[0.3, 0.1]),
+                  Ellipsoid.from_semiaxes(2.0, 1.0, 1.5)):
+            u = _units(G.dim, 1)[0]
+            for body in (G, difference_body(G), Dilate(G, 2.0),
+                         Translate(G, np.full(G.dim, 0.1)), Reflect(G),
+                         MinkowskiSum(G, Ball(0.5, dim=G.dim))):
+                curvature(body, u)
+                reverse_weingarten(body, u)
+        assert calls == []
+        fd = Ellipsoid.from_semiaxes(2.0, 1.0, 1.5,
+                                     derivative_mode="finite-difference")
+        u = _units(3, 1)[0]
+        curvature(fd, u)
+        assert calls == [fd]
+        # an analytic sum projects only its finite-difference summand
+        curvature(MinkowskiSum(Ellipsoid.from_semiaxes(2.0, 1.0, 1.5), fd), u)
+        assert calls == [fd, fd]
+
+
 # ---------------------------------------------------------------------------
 # gauges
 

@@ -1,5 +1,6 @@
 """Tests of the experiment runner and its exit-code contract."""
 
+import math
 import os
 import pathlib
 
@@ -40,6 +41,18 @@ x_direction = 0 1
 qmc_points = 4096
 replicates = 2
 seed = 0
+{extra}
+"""
+
+REULEAUX_IDENTITIES = """
+[body wheel]
+kind = reuleaux
+width = 1.0
+
+[experiment ids]
+kind = identities
+body = wheel
+directions = 16
 {extra}
 """
 
@@ -143,6 +156,31 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main(["verify", str(cfg), "--out", str(out)]) == 0
         assert "non_unique_contact" in (out / "summary.csv").read_text()
+
+
+    def test_identities_never_run_are_not_passed(self, tmp_path):
+        # every direction is singular for kp1 and symmetry, which need
+        # curvature at both u and -u; krantz_parks runs on the arcs
+        cfg = tmp_path / "ids.cfg"
+        cfg.write_text(REULEAUX_IDENTITIES.format(extra=""))
+        out = tmp_path / "o"
+        assert main(["identities", str(cfg), "--out", str(out)]) == 2
+        rows = [line.split(",") for line in
+                (out / "summary.csv").read_text().splitlines()[1:]]
+        summary = {check: (value, verdict)
+                   for _, check, _, value, verdict in rows}
+        for check in ("kp1", "symmetry"):
+            value, verdict = summary[check]
+            assert math.isnan(float(value))
+            assert verdict == "singular"
+        assert summary["krantz_parks"][1] == "pass"
+        ids = (out / "ids.csv").read_text().splitlines()
+        assert sum(line.startswith("singular,") for line in ids) == 16
+
+    def test_declared_singular_identities(self, tmp_path):
+        cfg = tmp_path / "ids.cfg"
+        cfg.write_text(REULEAUX_IDENTITIES.format(extra="expect = singular"))
+        assert main(["identities", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
 class TestSubcommandsAndOverrides:

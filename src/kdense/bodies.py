@@ -2,12 +2,13 @@
 
 Every body exposes the 1-homogeneous extension H(v) = |v| h(v/|v|) of its
 support function, plus its gradient (the boundary point with a given
-outward normal) and Hessian.  Curvature needs only the tangent block
-R = E' H(u) E of that Hessian in a frame E of the plane orthogonal to u
-(the reverse Weingarten map): ellipsoids, balls and angular profiles build
-it in closed form, other bodies project the full Hessian.  The Minkowski
-algebra (sums, dilations, translations, reflections) acts linearly on H
-and on the tangent block.
+outward normal) and Hessian.  The second-order primitive of each analytic
+kind is the tangent block R = E' H(u) E in an orthonormal frame E of the
+plane orthogonal to u (the reverse Weingarten map), built in closed form;
+curvature uses it directly and the Hessian is E R E' / |v|.  Bodies in
+finite-difference mode take the Hessian by central differences and project
+it.  The Minkowski algebra (sums, dilations, translations, reflections)
+acts linearly on H and on the tangent block.
 """
 
 import math
@@ -214,8 +215,8 @@ class ConvexBody:
     """A convex body with the origin in its interior, given by support data.
 
     Subclasses implement ``_support_impl`` (vectorized over rows) and may
-    provide analytic gradients/Hessians; otherwise central finite
-    differences on the homogeneous extension are used.
+    provide an analytic gradient and tangent block; otherwise central
+    finite differences on the homogeneous extension are used.
     """
 
     kind = "abstract"
@@ -249,9 +250,6 @@ class ConvexBody:
     def _gradient_impl(self, V):
         return None
 
-    def _hessian_impl(self, v):
-        return None
-
     def gradient_hom(self, V):
         """Gradient of H at each row of V; 0-homogeneous (the boundary point)."""
         V = np.atleast_2d(np.asarray(V, dtype=float))
@@ -262,12 +260,19 @@ class ConvexBody:
         return self._fd_gradient(V)
 
     def hessian_hom(self, v):
-        """Hessian of H at v; (-1)-homogeneous, with v in its kernel."""
+        """Hessian of H at v; (-1)-homogeneous, with v in its kernel.
+
+        For analytic bodies it is E R E' / |v|, with R the tangent block at
+        u = v / |v| in E = tangent_frame(u).
+        """
         v = np.asarray(v, dtype=float)
         if self.derivative_mode == "analytic":
-            h = self._hessian_impl(v)
-            if h is not None:
-                return h
+            n = math.sqrt(v @ v)
+            u = v / n
+            E = tangent_frame(u)
+            R = self._tangent_block_impl(u, E)
+            if R is not None:
+                return E @ np.array(R) @ E.T / n
         return self._fd_hessian(v)
 
     def _tangent_block(self, u, E):
@@ -275,8 +280,8 @@ class ConvexBody:
 
         u is a unit direction and E an (N, N-1) matrix whose columns are
         an orthonormal basis of the plane orthogonal to u.  Analytic bodies
-        with a closed form build only the (N-1)x(N-1) block; the others,
-        and every finite-difference body, project ``hessian_hom``.
+        build the (N-1)x(N-1) block in closed form; finite-difference
+        bodies project ``hessian_hom``.
         """
         if self.derivative_mode == "analytic":
             R = self._tangent_block_impl(u, E)
@@ -435,11 +440,6 @@ class Ball(ConvexBody):
     def _gradient_impl(self, V):
         return self.radius * V / np.linalg.norm(V, axis=1, keepdims=True) + self.center
 
-    def _hessian_impl(self, v):
-        n = np.linalg.norm(v)
-        u = v / n
-        return self.radius * (np.eye(self.dim) - np.outer(u, u)) / n
-
     def _tangent_block_impl(self, u, E):
         r = self.radius
         return [[r]] if self.dim == 2 else [[r, 0.0], [0.0, r]]
@@ -487,6 +487,9 @@ class Ellipsoid(ConvexBody):
         dim = Q.shape[0]
         if Q.shape != (dim, dim) or not np.allclose(Q, Q.T, atol=1e-12):
             raise ValueError("Q must be a symmetric matrix")
+        # the tangent block reads only the upper triangle, the support
+        # function all of Q: both see its symmetric part
+        Q = 0.5 * (Q + Q.T)
         w = np.linalg.eigvalsh(Q)
         if np.min(w) <= 0:
             raise ValueError("Q must be positive definite")
@@ -509,11 +512,6 @@ class Ellipsoid(ConvexBody):
         QV = V @ self.Q
         s = np.sqrt(np.einsum("ij,ij->i", QV, V))
         return QV / s[:, None] + self.center
-
-    def _hessian_impl(self, v):
-        Qv = self.Q @ v
-        s = math.sqrt(v @ Qv)
-        return self.Q / s - (Qv[:, None] * Qv) / s ** 3
 
     def _tangent_block_impl(self, u, E):
         # E' (Q/s - Qu u'Q/s^3) E with s^2 = u'Qu, from the upper triangle
@@ -585,19 +583,8 @@ class _Theta2DBody(ConvexBody):
         uperp = np.column_stack([-u[:, 1], u[:, 0]])
         return self.h_theta(t)[:, None] * u + dh[:, None] * uperp
 
-    def _hessian_impl(self, v):
-        t = np.arctan2(v[1], v[0])
-        d2h = self.d2h_theta(np.array([t]))
-        if d2h is None:
-            return None
-        # radius of curvature h + h'' spans the tangent line
-        rad = self.h_theta(np.array([t]))[0] + d2h[0]
-        r = np.linalg.norm(v)
-        u = v / r
-        uperp = np.array([-u[1], u[0]])
-        return rad / r * np.outer(uperp, uperp)
-
     def _tangent_block_impl(self, u, E):
+        # the radius of curvature h + h''
         t = np.arctan2(u[1:], u[:1])
         d2h = self.d2h_theta(t)
         if d2h is None:
@@ -672,15 +659,15 @@ class Superellipse2D(ConvexBody):
         psi = np.sign(V) * np.abs(V) ** (q - 1.0)
         return psi * (s ** (1.0 / q - 1.0))[:, None]
 
-    def _hessian_impl(self, v):
+    def _tangent_block_impl(self, u, E):
+        # radius of curvature (q-1) |xy|^(q-2) (|x|^q + |y|^q)^(1/q-2) at a
+        # unit u = (x, y); infinite on the axes, where the boundary is flat
         q = self.q
-        with np.errstate(divide="ignore"):
-            phi = float(np.sum(np.abs(v) ** q))
-            psi = np.sign(v) * np.abs(v) ** (q - 1.0)
-            diag = np.abs(v) ** (q - 2.0)
-        H = (1.0 - q) * phi ** (1.0 / q - 2.0) * np.outer(psi, psi)
-        H += (q - 1.0) * phi ** (1.0 / q - 1.0) * np.diag(diag)
-        return H
+        x, y = np.abs(u)
+        with np.errstate(divide="ignore", over="ignore"):
+            r = (q - 1.0) * (x * y) ** (q - 2.0) * \
+                (x ** q + y ** q) ** (1.0 / q - 2.0)
+        return [[float(r)]]
 
     def gauge_many(self, pts, refine="auto", margin=0.02):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -782,9 +769,6 @@ class MinkowskiSum(ConvexBody):
     def _gradient_impl(self, V):
         return self.left.gradient_hom(V) + self.right.gradient_hom(V)
 
-    def _hessian_impl(self, v):
-        return self.left.hessian_hom(v) + self.right.hessian_hom(v)
-
     def _tangent_block_impl(self, u, E):
         A = self.left._tangent_block(u, E)
         B = self.right._tangent_block(u, E)
@@ -806,9 +790,6 @@ class Dilate(ConvexBody):
 
     def _gradient_impl(self, V):
         return self.factor * self.body.gradient_hom(V)
-
-    def _hessian_impl(self, v):
-        return self.factor * self.body.hessian_hom(v)
 
     def _tangent_block_impl(self, u, E):
         t = self.factor
@@ -837,9 +818,6 @@ class Translate(ConvexBody):
     def _gradient_impl(self, V):
         return self.body.gradient_hom(V) + self.vector
 
-    def _hessian_impl(self, v):
-        return self.body.hessian_hom(v)
-
     def _tangent_block_impl(self, u, E):
         return self.body._tangent_block(u, E)
 
@@ -858,9 +836,6 @@ class Reflect(ConvexBody):
 
     def _gradient_impl(self, V):
         return -self.body.gradient_hom(-V)
-
-    def _hessian_impl(self, v):
-        return self.body.hessian_hom(-v)
 
     def _tangent_block_impl(self, u, E):
         return self.body._tangent_block(-u, E)

@@ -387,6 +387,15 @@ def _rotated_ellipsoid(rng, semiaxes, center=None):
     return Ellipsoid(0.5 * (Q + Q.T), center=center)
 
 
+def _off_axis(dim):
+    """8 unit directions; in 2D at least 0.28 rad from the coordinate axes,
+    where the superellipse is flat and finite differences straddle that."""
+    if dim == 3:
+        return _units(3, 8)
+    t = np.pi / 4 + np.pi / 2 * np.arange(4)[:, None] + np.array([-0.5, 0.5])
+    return np.column_stack([np.cos(t.ravel()), np.sin(t.ravel())])
+
+
 def _ellipsoid_kappa(Q, u):
     """Gauss curvature (u'Qu)^((N+1)/2) / det Q of the ellipsoid with matrix Q."""
     return (u @ Q @ u) ** (0.5 * (len(u) + 1)) / np.linalg.det(Q)
@@ -454,6 +463,57 @@ class TestTangentBlock:
                     assert np.linalg.norm(R - ref) <= \
                         1e-13 * np.linalg.norm(ref), body
 
+    def test_asymmetric_q_uses_its_symmetric_part(self):
+        # the constructor accepts Q within rounding of symmetric; the block
+        # must see the same symmetric part as the support function
+        for Q in ([[2.0, 0.3 + 1e-6], [0.3 - 1e-6, 1.0]],
+                  [[2.0, 0.3 + 1e-6, 0.1], [0.3 - 1e-6, 1.0, -0.2],
+                   [0.1, -0.2 - 1e-6, 1.5]]):
+            Q = np.array(Q)
+            G = Ellipsoid(Q)
+            S = 0.5 * (Q + Q.T)
+            for u in _units(len(Q), 8):
+                assert G.support(u) == pytest.approx(math.sqrt(u @ S @ u),
+                                                     rel=1e-15)
+                assert curvature(G, u).kappa == pytest.approx(
+                    _ellipsoid_kappa(S, u), rel=1e-14, abs=0.0)
+
+    def test_block_matches_finite_differences(self):
+        # an independent reference for every closed form: central second
+        # differences of the body's own support function (not Reuleaux,
+        # whose profile has kinks)
+        E3 = Ellipsoid.from_semiaxes(2.0, 1.0, 1.5, center=[0.1, 0.0, -0.2])
+        bodies = _zoo() + [
+            Superellipse2D(2.5), Superellipse2D(8.0),
+            _rotated_ellipsoid(np.random.default_rng(24), (2.0, 1.0, 1.5)),
+            difference_body(E3), Dilate(E3, 2.5), Translate(E3, [0.1, 0.2, 0.0]),
+            Reflect(E3), MinkowskiSum(FourierBody2D([1.0, 0.0, 0.0, 0.1]),
+                                      Superellipse2D(4.0)),
+        ]
+        for body in bodies:
+            for u in map(as_direction, _off_axis(body.dim)):
+                for E in (tangent_frame(u), tangent_frame(-u)):
+                    R, _ = reverse_weingarten(body, u, E)
+                    ref = E.T @ body._fd_hessian(u) @ E
+                    assert np.linalg.norm(R - ref) <= \
+                        1e-6 * np.linalg.norm(ref), body
+
+    def test_hessian_from_block(self):
+        # H(v) = E R E' / |v|: symmetric, v in its kernel, and equal to the
+        # finite-difference Hessian of the support function
+        bodies = _zoo() + [
+            difference_body(Ellipsoid.from_semiaxes(2.0, 1.0, 1.5)),
+            Reflect(Translate(Ellipsoid.from_semiaxes(2.0, 1.0), [0.3, 0.1])),
+        ]
+        for body in bodies:
+            for v in 1.7 * _off_axis(body.dim):
+                H = body.hessian_hom(v)
+                ref = body._fd_hessian(v)
+                scale = np.linalg.norm(ref)
+                assert np.abs(H - H.T).max() <= 1e-15 * scale, body
+                assert np.linalg.norm(H @ v) <= 1e-14 * scale, body
+                assert np.linalg.norm(H - ref) <= 1e-6 * scale, body
+
     def test_closed_forms_skip_the_hessian(self, monkeypatch):
         calls = []
         hessian_hom = ConvexBody.hessian_hom
@@ -471,6 +531,8 @@ class TestTangentBlock:
                          MinkowskiSum(G, Ball(0.5, dim=G.dim))):
                 curvature(body, u)
                 reverse_weingarten(body, u)
+        for body in _zoo():
+            curvature(body, _units(body.dim, 1)[0])
         assert calls == []
         fd = Ellipsoid.from_semiaxes(2.0, 1.0, 1.5,
                                      derivative_mode="finite-difference")

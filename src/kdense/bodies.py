@@ -8,7 +8,8 @@ plane orthogonal to u (the reverse Weingarten map), built in closed form;
 curvature uses it directly and the Hessian is E R E' / |v|.  Bodies in
 finite-difference mode take the Hessian by central differences and project
 it.  The Minkowski algebra (sums, dilations, translations, reflections)
-acts linearly on H and on the tangent block.
+acts linearly on H and on the tangent block.  One sphere search for the
+largest support ratio serves gauges, normals and circumscribed ratios.
 """
 
 import math
@@ -25,6 +26,8 @@ GAUGE_GRID_2D = 512
 GAUGE_GRID_3D = 4096
 # ratios per block of the coarse scan: about 1 MB of doubles, cache-sized
 GAUGE_BLOCK_RATIOS = 2 ** 17
+# gauge_many(refine="auto") refines coarse gauges within this of 1
+GAUGE_REFINE_MARGIN = 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +104,7 @@ def sphere_directions(dim, n):
 
 
 # ---------------------------------------------------------------------------
-# the sphere search behind the generic gauge
+# the sphere search for max H_A / H_K: gauges, normals, circumscribed ratios
 
 # forward-difference step for the Jacobian of grad H, near sqrt(machine eps)
 FD_STEP = 1e-8
@@ -110,31 +113,52 @@ SEARCH_TOL = 1e-12
 SEARCH_MAX_STEPS = 60
 
 
-def _optimality_residual(body, pts, U, tangents):
-    """Residual and Jacobian of the condition grad H(u) || p at directions U.
+class SupportRows:
+    """Numerator H_A(u) = H_G(u) + <p, u> of the search, one point p per row:
+    the support function of G + p, or of the point p when G is None."""
 
-    At the maximizer of <p, u> / H(u) the boundary point x(u) = grad H(u)
-    lies on the ray through p.  The residual is the offset of x(u) from the
-    point where that ray meets the tangent plane {y : <u, y> = <u, x(u)>},
-    in the given tangent directions; moving u along a tangent moves x(u) by
-    the reverse Weingarten map, so the Jacobian is that map, taken here by
-    forward differences of grad H.  Returns r (n, k) and J (n, k, k).
+    def __init__(self, pts, body=None):
+        self.pts, self.body = pts, body
+
+    def rows(self, idx):
+        return SupportRows(self.pts[idx], self.body)
+
+    def support_hom(self, V):
+        h = np.einsum("ij,ij->i", self.pts, V)
+        return h if self.body is None else self.body.support_hom(V) + h
+
+    def gradient_hom(self, V):  # V stacks copies of the rows
+        a = np.tile(self.pts, (len(V) // len(self.pts), 1))
+        return a if self.body is None else self.body.gradient_hom(V) + a
+
+
+def _optimality_residual(K, A, U, tangents):
+    """Residual and Jacobian of the condition grad H_K(u) || grad H_A(u).
+
+    At the maximizer of H_A / H_K, x(u) = grad H_K(u) lies on the ray through
+    a(u) = grad H_A(u).  The residual is the offset of x(u) from ray * a(u),
+    where the ray meets the plane {y : <u, y> = <u, x(u)>}, in the tangents
+    T.  With D the forward differences of the gradients along T and the ray
+    held fixed (its derivative vanishes at the optimum), J = T'(D_K - ray D_A)
+    is minus the derivative of r.  Returns r (n, k) and J (n, k, k).
     """
     T = np.stack(tangents)
     n = len(U)
-    X = body.gradient_hom(np.concatenate([U] + [U + FD_STEP * t for t in T]))
-    x = X[:n]
-    ray = np.einsum("ij,ij->i", U, x) / np.einsum("ij,ij->i", U, pts)
-    r = np.einsum("anj,nj->na", T, ray[:, None] * pts - x)
-    D = (X[n:].reshape(len(T), n, -1) - x) / FD_STEP
+    V = np.concatenate([U] + [U + FD_STEP * t for t in T])
+    X, Y = K.gradient_hom(V), A.gradient_hom(V)
+    x, a = X[:n], Y[:n]
+    ray = np.einsum("ij,ij->i", U, x) / np.einsum("ij,ij->i", U, a)
+    r = np.einsum("anj,nj->na", T, ray[:, None] * a - x)
+    D = ((X[n:].reshape(len(T), n, -1) - x) -
+         ray[:, None] * (Y[n:].reshape(len(T), n, -1) - a)) / FD_STEP
     return r, np.einsum("anj,bnj->nab", T, D)
 
 
-def _ascend_2d(body, pts, U, n_grid):
+def _ascend_2d(K, A, U, n_grid):
     """Newton steps in the angle, safeguarded by bisection (rtsafe).
 
     The coarse maximum brackets the true one within one grid cell, since
-    <p, u> / H(u) is unimodal.  The residual has the sign of its angular
+    H_A / H_K is unimodal.  The residual has the sign of its angular
     derivative, so every evaluation shrinks the bracket; a Newton step that
     leaves the bracket or fails to halve the step before last is replaced by
     bisection.  That covers singular derivative data: zero curvature radius
@@ -149,7 +173,7 @@ def _ascend_2d(body, pts, U, n_grid):
     for _ in range(SEARCH_MAX_STEPS):
         t = th[live]
         u = _unit_circle(t)
-        r, J = _optimality_residual(body, pts[live], u,
+        r, J = _optimality_residual(K, A.rows(live), u,
                                     [np.column_stack([-u[:, 1], u[:, 0]])])
         r, J = r[:, 0], J[:, 0, 0]
         a = lo[live] = np.where(r > 0, t, lo[live])
@@ -169,8 +193,8 @@ def _ascend_2d(body, pts, U, n_grid):
     return _unit_circle(th)
 
 
-def _ascend_3d(body, pts, U, n_grid):
-    """Newton steps in the tangent plane, halved while <p, u> / H(u) drops.
+def _ascend_3d(K, A, U, n_grid):
+    """Newton steps in the tangent plane, halved while H_A(u) / H_K(u) drops.
 
     Steps are capped by a trust radius that starts at the grid spacing; a
     step that lowers the objective beyond rounding is retried at half the
@@ -178,13 +202,13 @@ def _ascend_3d(body, pts, U, n_grid):
     residual direction, which is uphill.
     """
     U = U.copy()
-    f = body._gauge_objective(pts, U)
+    f = A.support_hom(U) / K.support_hom(U)
     radius = np.full(len(U), 2.0 * np.sqrt(4.0 * np.pi / n_grid))
     live = np.arange(len(U))
     for _ in range(SEARCH_MAX_STEPS):
-        p, u = pts[live], U[live]
+        a, u = A.rows(live), U[live]
         e1, e2 = _frames_many(u)
-        r, J = _optimality_residual(body, p, u, [e1, e2])
+        r, J = _optimality_residual(K, a, u, [e1, e2])
         det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
             d = np.column_stack([J[:, 1, 1] * r[:, 0] - J[:, 0, 1] * r[:, 1],
@@ -197,7 +221,7 @@ def _ascend_3d(body, pts, U, n_grid):
         size = np.minimum(size, radius[live])
         cand = u + d[:, :1] * e1 + d[:, 1:] * e2
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        fc = body._gauge_objective(p, cand)
+        fc = a.support_hom(cand) / K.support_hom(cand)
         ok = fc >= f[live] - 4.0 * np.finfo(float).eps * np.abs(f[live])
         U[live[ok]] = cand[ok]
         f[live[ok]] = fc[ok]
@@ -206,6 +230,18 @@ def _ascend_3d(body, pts, U, n_grid):
         if not live.size:
             break
     return U
+
+
+def support_ratio_max(K, A, U, f0, n_grid):
+    """Converged max of H_A(u) / H_K(u) per row and its direction, from the
+    argmax U and max f0 of a scan over ``n_grid`` sphere directions.  Rows
+    with f0 <= 0 (a gauge's zero vector) have no maximizing direction."""
+    u = U.copy()
+    live = f0 > 0.0
+    if live.any():
+        search = _ascend_2d if K.dim == 2 else _ascend_3d
+        u[live] = search(K, A.rows(live), u[live], n_grid)
+    return np.maximum(f0, A.support_hom(u) / K.support_hom(u)), u
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +369,12 @@ class ConvexBody:
             self._grid_cache = (U, h, U / h[:, None])
         return self._grid_cache
 
-    def gauge_many(self, pts, refine="auto", margin=0.02):
+    def gauge_many(self, pts, refine="auto"):
         """Gauge values inf{t > 0 : v in tK} for each row of pts.
 
-        ``refine='auto'`` runs local ascent only for points whose coarse
-        gauge lies within ``margin`` of 1 (enough for membership tests);
-        ``'all'`` refines everything, ``'none'`` returns the coarse scan.
+        ``refine='auto'`` refines only coarse gauges within GAUGE_REFINE_MARGIN
+        of 1 (enough for membership tests); ``'all'`` refines everything,
+        ``'none'`` returns the coarse scan.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         g, idx = self._gauge_coarse(pts)
@@ -347,7 +383,7 @@ class ConvexBody:
         if refine == "all":
             mask = np.ones(len(pts), dtype=bool)
         else:
-            mask = np.abs(g - 1.0) < margin
+            mask = np.abs(g - 1.0) < GAUGE_REFINE_MARGIN
         if mask.any():
             g[mask] = self._gauge_refine(pts[mask], idx[mask], g[mask])[0]
         return g
@@ -373,22 +409,10 @@ class ConvexBody:
             g[a:b] = ratios[rows[:b - a], idx[a:b]]
         return g, idx
 
-    def _gauge_objective(self, pts, dirs):
-        # 0-homogeneous in dirs, so no normalization needed
-        return np.einsum("ij,ij->i", pts, dirs) / self.support_hom(dirs)
-
     def _gauge_refine(self, pts, idx, g0):
-        """Converged maximum of <p, u> / H(u) from the coarse grid maximum.
-
-        Returns the refined gauges and their maximizing unit directions.
-        """
+        """Refined gauges and their maximizing unit directions."""
         U, _, _ = self._gauge_grid()
-        u = U[idx]
-        live = g0 > 0.0  # the zero vector has no maximizing direction
-        if live.any():
-            search = _ascend_2d if self.dim == 2 else _ascend_3d
-            u[live] = search(self, pts[live], u[live], len(U))
-        return np.maximum(g0, self._gauge_objective(pts, u)), u
+        return support_ratio_max(self, SupportRows(pts), U[idx], g0, len(U))
 
     def gauge_argmax(self, v):
         """Gauge of a single vector together with the maximizing direction."""
@@ -444,7 +468,7 @@ class Ball(ConvexBody):
         r = self.radius
         return [[r]] if self.dim == 2 else [[r, 0.0], [0.0, r]]
 
-    def gauge_many(self, pts, refine="auto", margin=0.02):
+    def gauge_many(self, pts, refine="auto"):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return _offset_quadric_gauge(pts, np.eye(self.dim) / self.radius ** 2,
                                      self.center)
@@ -546,7 +570,7 @@ class Ellipsoid(ConvexBody):
         return [[(r11 * s2 - p1 * p1) / s3, off],
                 [off, (r22 * s2 - p2 * p2) / s3]]
 
-    def gauge_many(self, pts, refine="auto", margin=0.02):
+    def gauge_many(self, pts, refine="auto"):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return _offset_quadric_gauge(pts, self.Qinv, self.center)
 
@@ -669,7 +693,7 @@ class Superellipse2D(ConvexBody):
                 (x ** q + y ** q) ** (1.0 / q - 2.0)
         return [[float(r)]]
 
-    def gauge_many(self, pts, refine="auto", margin=0.02):
+    def gauge_many(self, pts, refine="auto"):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return (np.abs(pts[:, 0]) ** self.p +
                 np.abs(pts[:, 1]) ** self.p) ** (1.0 / self.p)
@@ -741,7 +765,7 @@ class ReuleauxTriangle2D(_Theta2DBody):
         # radius of curvature h + h'' is w on arcs, 0 at vertex sectors
         return d2
 
-    def gauge_many(self, pts, refine="auto", margin=0.02):
+    def gauge_many(self, pts, refine="auto"):
         # gauge of an intersection is the max of the member gauges
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         Qinv = np.eye(2) / self.width ** 2
@@ -795,9 +819,8 @@ class Dilate(ConvexBody):
         t = self.factor
         return [[t * a for a in row] for row in self.body._tangent_block(u, E)]
 
-    def gauge_many(self, pts, refine="auto", margin=0.02):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self.body.gauge_many(pts / self.factor, refine=refine, margin=margin)
+    def gauge_many(self, pts, refine="auto"):
+        return self.body.gauge_many(np.asarray(pts, dtype=float) / self.factor, refine)
 
     def gauge_argmax(self, v):
         return self.body.gauge_argmax(np.asarray(v, dtype=float) / self.factor)
@@ -840,9 +863,8 @@ class Reflect(ConvexBody):
     def _tangent_block_impl(self, u, E):
         return self.body._tangent_block(-u, E)
 
-    def gauge_many(self, pts, refine="auto", margin=0.02):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self.body.gauge_many(-pts, refine=refine, margin=margin)
+    def gauge_many(self, pts, refine="auto"):
+        return self.body.gauge_many(-np.asarray(pts, dtype=float), refine)
 
     def gauge_argmax(self, v):
         g, u = self.body.gauge_argmax(-np.asarray(v, dtype=float))

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from . import bodies
-from .bodies import boundary_points, curvature, sphere_directions
+from .bodies import curvature, sphere_directions
 from .errors import SingularCurvature
 
 # surface measure of the unit sphere one dimension down (S^{N-2})
@@ -268,51 +268,21 @@ def halfspace_cut_volume(K, n_dir, n=DEFAULT_QMC_POINTS,
     return _qmc_indicator(K.dim, bounding_box(K), pred, n, replicates, seed)
 
 
-def circumscribed_ratio(G, K, x, samples=None, refine_iters=60):
-    """max over the boundary of G of gauge_K(y - x): the smallest dilation
-    of K centered at x that contains G."""
+def circumscribed_ratio(G, K, x, samples=None):
+    """Smallest t with G inside x + tK, by support-function duality.
+
+    G - x lies in tK exactly when H_G(v) - <x, v> <= t H_K(v) for every v
+    (Schneider, Convex Bodies, 1.7), so t = max_v (H_G(v) - <x, v>) / H_K(v):
+    a scan over ``samples`` directions, then the sphere search of ``bodies``.
+    The numerator is no ``Translate`` of G: for x on the boundary of G it
+    vanishes at the normal of x, and a body holds the origin strictly inside.
+    """
     x = np.asarray(x, dtype=float)
     if samples is None:
         samples = 512 if G.dim == 2 else 4096
     U = sphere_directions(G.dim, samples)
-    P = boundary_points(G, U)
-    g = K.gauge_many(P - x, refine="all")
-    i0 = int(np.argmax(g))
-    best = float(g[i0])
-
-    def val(u):
-        p = boundary_points(G, u[None, :])[0]
-        return float(K.gauge_many((p - x)[None, :], refine="all")[0])
-
-    # local refinement over the normal direction around the coarse argmax
-    if G.dim == 2:
-        th0 = float(np.arctan2(U[i0, 1], U[i0, 0]))
-        dth = 2.0 * np.pi / samples
-        a, b = th0 - dth, th0 + dth
-        invphi = (np.sqrt(5.0) - 1.0) / 2.0
-        for _ in range(refine_iters):
-            c = b - invphi * (b - a)
-            d = a + invphi * (b - a)
-            if val(np.array([np.cos(c), np.sin(c)])) > \
-               val(np.array([np.cos(d), np.sin(d)])):
-                b = d
-            else:
-                a = c
-        th = 0.5 * (a + b)
-        best = max(best, val(np.array([np.cos(th), np.sin(th)])))
-    else:
-        u = U[i0].copy()
-        step = 2.0 * np.sqrt(4.0 * np.pi / samples)
-        cur = best
-        for _ in range(refine_iters):
-            E = bodies.tangent_frame(u)
-            improved = False
-            for d in (E[:, 0], -E[:, 0], E[:, 1], -E[:, 1]):
-                cand = u + step * d
-                cand /= np.linalg.norm(cand)
-                v = val(cand)
-                if v > cur:
-                    cur, u, improved = v, cand, True
-            step *= 0.5 if not improved else 0.9
-        best = max(best, cur)
-    return best
+    f = (G.support_hom(U) - U @ x) / K.support_hom(U)
+    i = np.argmax(f)
+    A = bodies.SupportRows(-x[None, :], G)
+    g, _ = bodies.support_ratio_max(K, A, U[i:i + 1], f[i:i + 1], samples)
+    return float(g[0])

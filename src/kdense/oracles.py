@@ -82,34 +82,22 @@ def shoelace_area(V):
 
 
 def clip_polygon_halfplane(V, a, b):
-    """Clip a vertex loop against the half-plane on the left of edge a->b."""
-    out = []
-    n = len(V)
-    for i in range(n):
-        s, e = V[i - 1], V[i]
-        s_in = _left_of(a, b, s)
-        e_in = _left_of(a, b, e)
-        if e_in:
-            if not s_in:
-                out.append(_edge_intersection(a, b, s, e))
-            out.append(e)
-        elif s_in:
-            out.append(_edge_intersection(a, b, s, e))
-    return np.asarray(out, dtype=float).reshape(-1, 2)
+    """Clip a vertex loop against the half-plane on the left of edge a->b.
 
-
-def _left_of(a, b, p):
-    return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) >= 0.0
-
-
-def _edge_intersection(a, b, s, e):
-    dc = (a[0] - b[0], a[1] - b[1])
-    dp = (s[0] - e[0], s[1] - e[1])
-    n1 = a[0] * b[1] - a[1] * b[0]
-    n2 = s[0] * e[1] - s[1] * e[0]
-    denom = dc[0] * dp[1] - dc[1] * dp[0]
-    return np.array([(n1 * dp[0] - n2 * dc[0]) / denom,
-                     (n1 * dp[1] - n2 * dc[1]) / denom])
+    One Sutherland-Hodgman pass over all edges s -> e at once: each edge
+    emits its crossing point if it changes side, then e if e is inside.
+    """
+    V = np.asarray(V, dtype=float).reshape(-1, 2)
+    side = (b[0] - a[0]) * (V[:, 1] - a[1]) - (b[1] - a[1]) * (V[:, 0] - a[0])
+    inside = side >= 0.0
+    crosses = inside != np.roll(inside, 1)
+    S, s_side = np.roll(V, 1, axis=0)[crosses], np.roll(side, 1)[crosses]
+    # the two sides have opposite signs on a crossing edge, so t is in [0, 1]
+    t = s_side / (s_side - side[crosses])
+    out = np.stack([V, V], axis=1)
+    out[crosses, 0] = S + t[:, None] * (V[crosses] - S)
+    emit = np.column_stack([crosses, inside]).ravel()
+    return out.reshape(-1, 2)[emit]
 
 
 def polygon_clip_area(P, Q):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
-from kdense.bodies import (Ball, Dilate, Ellipsoid, MinkowskiSum,
+from kdense.bodies import (Ball, ConvexBody, Dilate, Ellipsoid, MinkowskiSum,
                            Superellipse2D, Translate, boundary_points,
                            difference_body, sphere_directions)
 from kdense.errors import SingularCurvature
@@ -228,3 +228,61 @@ class TestCircumscribedRatio:
             for x in boundary_points(G, U):
                 assert circumscribed_ratio(G, K, x) == pytest.approx(
                     1.0, abs=1e-6)
+
+    @staticmethod
+    def _ellipsoid_pair(axes, angles, v, s, w):
+        """Rotated, off-centre G = E(Q, c) and K = E(s^2 Q, d).
+
+        The centres are c = Q^{1/2} v and d = Q^{1/2} w, with |v| < 1 and
+        |w| < s so that both bodies hold the origin.  Q^{-1/2} maps G - x to
+        B(a, 1) and K to B(d', s), with a = Q^{-1/2}(c - x) and d' = w.
+        B(a, 1) lies in tB(d', s) when |a - t d'| + 1 <= ts, so the ratio
+        is 2(s - <a, d'>) / (s^2 - |d'|^2).  Returns G, K and, for eight
+        boundary points x, the pairs (x, ratio).
+        """
+        dim = len(axes)
+        R = np.eye(dim)
+        for k, phi in enumerate(angles):  # rotations in the planes (k, k+1)
+            P = np.eye(dim)
+            P[k:k + 2, k:k + 2] = [[math.cos(phi), -math.sin(phi)],
+                                   [math.sin(phi), math.cos(phi)]]
+            R = R @ P
+        root = R @ np.diag(axes) @ R.T  # Q^{1/2}
+        Q = root @ root
+        w = np.asarray(w, dtype=float)
+        c = root @ np.asarray(v, dtype=float)
+        G = Ellipsoid(Q, center=c)
+        K = Ellipsoid(s * s * Q, center=root @ w)
+        cases = []
+        for a in sphere_directions(dim, 8):
+            x = c - root @ a
+            cases.append((x, 2.0 * (s - a @ w) / (s * s - w @ w)))
+        return G, K, cases
+
+    def test_ellipsoid_pairs_closed_form(self):
+        for axes, angles, v, s, w in (
+                ((2.0, 1.0), (0.4,), (0.3, -0.2), 2.5, (0.4, -0.7)),
+                ((50.0, 1.0), (1.1,), (-0.6, 0.3), 1.7, (0.5, 0.9)),
+                ((1.5, 1.0, 0.8), (0.4, 1.3), (0.2, -0.1, 0.3), 2.2,
+                 (0.6, -0.5, 0.4)),
+                ((20.0, 1.0, 1.0), (0.7, -0.5), (0.5, 0.2, -0.1), 1.9,
+                 (-0.3, 0.8, 0.5))):
+            G, K, cases = self._ellipsoid_pair(axes, angles, v, s, w)
+            for x, exact in cases:
+                assert circumscribed_ratio(G, K, x) == pytest.approx(
+                    exact, rel=1e-12), (axes, x)
+
+    def test_no_gauge_solve(self, monkeypatch):
+        calls = []
+        for cls in (ConvexBody, Ellipsoid):
+            def counting(self, pts, refine="auto", _orig=cls.gauge_many):
+                calls.append(self)
+                return _orig(self, pts, refine)
+            monkeypatch.setattr(cls, "gauge_many", counting)
+        for G in (Ellipsoid.from_semiaxes(2.0, 1.0, center=[0.3, 0.1]),
+                  Superellipse2D(4.0),
+                  Ellipsoid.from_semiaxes(1.5, 1.0, 0.8)):
+            x = boundary_points(G, sphere_directions(G.dim, 3))[0]
+            for K in (difference_body(G), Ellipsoid(4.0 * np.eye(G.dim))):
+                circumscribed_ratio(G, K, x)
+        assert calls == []

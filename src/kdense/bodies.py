@@ -9,7 +9,11 @@ curvature uses it directly and the Hessian is E R E' / |v|.  Bodies in
 finite-difference mode take the Hessian by central differences and project
 it.  The Minkowski algebra (sums, dilations, translations, reflections)
 acts linearly on H and on the tangent block.  One sphere search for the
-largest support ratio serves gauges, normals and circumscribed ratios.
+largest support ratio serves gauges, normals and circumscribed ratios.  A 2D
+gauge is bracketed by the grid cell of its point's angle, from below by the
+outer polygon of the grid normals and from above by the chord between two
+boundary points, so membership is decided by certified bounds and only the
+points they leave open are searched; 3D refines coarse gauges near 1.
 """
 
 import math
@@ -21,12 +25,13 @@ from .errors import NonUniqueSupport, SingularCurvature
 UNIT_TOL = 1e-12
 MEMBERSHIP_TOL = 1e-9
 
-# directions of the coarse gauge/support scan
+# gauge grid normals: the cells of the 2D bracket, the 3D coarse scan
 GAUGE_GRID_2D = 512
 GAUGE_GRID_3D = 4096
-# ratios per block of the coarse scan: about 1 MB of doubles, cache-sized
+# ratios per block of the 3D coarse scan: about 1 MB of doubles, cache-sized
 GAUGE_BLOCK_RATIOS = 2 ** 17
-# gauge_many(refine="auto") refines coarse gauges within this of 1
+# 3D gauge_many(refine="auto") refines coarse gauges within this of 1; 2D
+# decides membership by certified bounds instead
 GAUGE_REFINE_MARGIN = 0.02
 
 
@@ -127,9 +132,11 @@ class SupportRows:
         h = np.einsum("ij,ij->i", self.pts, V)
         return h if self.body is None else self.body.support_hom(V) + h
 
-    def gradient_hom(self, V):  # V stacks copies of the rows
-        a = np.tile(self.pts, (len(V) // len(self.pts), 1))
-        return a if self.body is None else self.body.gradient_hom(V) + a
+    def gradient_hom(self, V):
+        # V stacks copies of the rows; the search calls this only when G is
+        # set, since the gradient of a point row is the constant p
+        return self.body.gradient_hom(V) + \
+            np.tile(self.pts, (len(V) // len(self.pts), 1))
 
 
 def _optimality_residual(K, A, U, tangents):
@@ -140,17 +147,27 @@ def _optimality_residual(K, A, U, tangents):
     where the ray meets the plane {y : <u, y> = <u, x(u)>}, in the tangents
     T.  With D the forward differences of the gradients along T and the ray
     held fixed (its derivative vanishes at the optimum), J = T'(D_K - ray D_A)
-    is minus the derivative of r.  Returns r (n, k) and J (n, k, k).
+    is minus the derivative of r.  For point rows grad H_A = p is constant
+    and D_A = 0, so ray D_A is skipped; it is NaN only where the ray or p is
+    not finite, and stays NaN there.  Returns r (n, k) and J (n, k, k).
     """
     T = np.stack(tangents)
     n = len(U)
     V = np.concatenate([U] + [U + FD_STEP * t for t in T])
-    X, Y = K.gradient_hom(V), A.gradient_hom(V)
-    x, a = X[:n], Y[:n]
-    ray = np.einsum("ij,ij->i", U, x) / np.einsum("ij,ij->i", U, a)
+    X = K.gradient_hom(V)
+    x = X[:n]
+    D = X[n:].reshape(len(T), n, -1) - x
+    if A.body is None:
+        a = A.pts
+        ray = np.einsum("ij,ij->i", U, x) / np.einsum("ij,ij->i", U, a)
+        D[:, ~(np.isfinite(ray)[:, None] & np.isfinite(a))] = np.nan
+    else:
+        Y = A.gradient_hom(V)
+        a = Y[:n]
+        ray = np.einsum("ij,ij->i", U, x) / np.einsum("ij,ij->i", U, a)
+        D -= ray[:, None] * (Y[n:].reshape(len(T), n, -1) - a)
+    D /= FD_STEP
     r = np.einsum("anj,nj->na", T, ray[:, None] * a - x)
-    D = ((X[n:].reshape(len(T), n, -1) - x) -
-         ray[:, None] * (Y[n:].reshape(len(T), n, -1) - a)) / FD_STEP
     return r, np.einsum("anj,bnj->nab", T, D)
 
 
@@ -244,6 +261,13 @@ def support_ratio_max(K, A, U, f0, n_grid):
     return np.maximum(f0, A.support_hom(u) / K.support_hom(u)), u
 
 
+def _angle_bucket(psi, n):
+    """Index of the angle psi in [-pi, pi] among n equal buckets; monotone."""
+    with np.errstate(invalid="ignore"):  # NaN angles land anywhere
+        b = ((psi + np.pi) * (n / (2.0 * np.pi))).astype(np.intp)
+    return np.clip(b, 0, n - 1)
+
+
 # ---------------------------------------------------------------------------
 # base class
 
@@ -265,6 +289,7 @@ class ConvexBody:
         self.dim = dim
         self.derivative_mode = derivative_mode
         self._grid_cache = None
+        self._cell_cache = None
 
     # -- support ------------------------------------------------------------
 
@@ -365,37 +390,115 @@ class ConvexBody:
             n = GAUGE_GRID_2D if self.dim == 2 else GAUGE_GRID_3D
             U = sphere_directions(self.dim, n)
             h = self.support_hom(U)
-            # pre-divide so the coarse scan is a single matrix product
+            # pre-divide so each grid ratio <p, u> / H(u) is one dot product
             self._grid_cache = (U, h, U / h[:, None])
         return self._grid_cache
+
+    def _gauge_cells(self):
+        """2D cells: cell i runs from X_i = grad H(u_i) to X_{i+1}, cyclically.
+
+        Returns the polar angles phi of the X_i in increasing order from -pi
+        (where several grid normals share a vertex, rounding can make them
+        drop by an ulp; they are made non-decreasing), the cells that start
+        at them, W, whose row i is the outward normal of the chord X_i X_{i+1}
+        over its offset, and the bucket table of ``_gauge_cell``.  A vertex
+        cell has zero width and a NaN row in W; the lookup never picks it.
+        """
+        if self._cell_cache is None:
+            U, _, _ = self._gauge_grid()
+            X = self.gradient_hom(U)
+            phi = np.arctan2(X[:, 1], X[:, 0])
+            # start at the first boundary point past the angle pi
+            order = np.roll(np.arange(len(U)),
+                            -1 - np.argmax(phi - np.roll(phi, -1)))
+            phi = np.maximum.accumulate(phi[order])
+            d = np.roll(X, -1, axis=0) - X
+            nrm = np.column_stack([d[:, 1], -d[:, 0]])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                W = nrm / np.einsum("ij,ij->i", nrm, X)[:, None]
+            # four buckets per cell; per bucket: the last angle in an earlier
+            # bucket, the angle after it, and whether it holds two or more
+            nb = 4 * len(U)
+            bucket = _angle_bucket(phi, nb)
+            start = np.searchsorted(bucket, np.arange(nb)) - 1
+            table = (start, np.append(phi, np.inf)[start + 1],
+                     np.bincount(bucket, minlength=nb) > 1)
+            self._cell_cache = (phi, order, W, table)
+        return self._cell_cache
+
+    def _gauge_cell(self, x, y):
+        """2D cell of each point (x, y) with polar angle psi: order[k] for
+        the last k with phi[k] <= psi, the index searchsorted finds.
+
+        Angles in earlier buckets are below psi and those in later buckets
+        above it, so where psi's bucket holds at most one angle a single
+        comparison finds k.  Crowded buckets, at vertices and at the tips
+        of eccentric bodies, fall back to searchsorted.  k = -1 (psi below
+        phi[0]) picks the last cell, which wraps past the angle pi.
+        """
+        phi, order, _, (start, after, crowded) = self._gauge_cells()
+        psi = np.arctan2(y, x)
+        b = _angle_bucket(psi, len(start))
+        k = start[b] + (after[b] <= psi)
+        c = np.flatnonzero(crowded[b])
+        k[c] = np.searchsorted(phi, psi[c], side="right") - 1
+        return order[k]
 
     def gauge_many(self, pts, refine="auto"):
         """Gauge values inf{t > 0 : v in tK} for each row of pts.
 
-        ``refine='auto'`` refines only coarse gauges within GAUGE_REFINE_MARGIN
-        of 1 (enough for membership tests); ``'all'`` refines everything,
-        ``'none'`` returns the coarse scan.
+        A lower bound comes first: in 2D from the point's grid cell, which
+        also bounds the gauge from above (``_gauge_bracket``); in 3D from the
+        coarse scan.  ``refine='none'`` returns it, ``'all'`` refines every
+        point by the sphere search, and ``'auto'`` refines only what a
+        membership test needs: in 2D the points whose bounds do not decide
+        gauge <= 1 + MEMBERSHIP_TOL, in 3D the coarse gauges within
+        GAUGE_REFINE_MARGIN of 1.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        g, idx = self._gauge_coarse(pts)
+        if self.dim == 2:
+            g, idx, hi = self._gauge_bracket(pts)
+            # a NaN upper bound decides nothing
+            undecided = (g <= 1.0 + MEMBERSHIP_TOL) & \
+                ~(hi <= 1.0 + MEMBERSHIP_TOL)
+        else:
+            g, idx = self._gauge_coarse(pts)
+            undecided = np.abs(g - 1.0) < GAUGE_REFINE_MARGIN
         if refine == "none":
             return g
-        if refine == "all":
-            mask = np.ones(len(pts), dtype=bool)
-        else:
-            mask = np.abs(g - 1.0) < GAUGE_REFINE_MARGIN
+        mask = np.ones(len(pts), dtype=bool) if refine == "all" else undecided
         if mask.any():
             g[mask] = self._gauge_refine(pts[mask], idx[mask], g[mask])[0]
         return g
 
-    def _gauge_coarse(self, pts):
-        """Largest grid ratio <p, u> / H(u) per row, and the grid index of it.
+    def _gauge_bracket(self, pts):
+        """Certified bounds lo <= gauge <= hi of 2D points, from one cell each.
 
-        Rows are scanned in blocks of about GAUGE_BLOCK_RATIOS ratios (256
-        rows of the 2D grid, 32 of the 3D grid), so each block's ratio matrix
-        stays near 1 MB and is still in cache when argmax reads it back.
-        The inner dimension is 2 or 3, so every row's ratios, and with them
-        g and idx, do not depend on the block size.
+        The angle of p finds its cell i.  The outer polygon
+        {y : <u_j, y> <= H(u_j)} contains K, and the ray through p leaves it
+        through facet i or i+1, whose ratios <p, u_j> / H(u_j) give its
+        gauge: that is lo, the full scan's maximum.  The chord X_i X_{i+1}
+        lies in K, so its gauge is hi.  The maximizing normal lies between
+        u_i and u_{i+1}; idx is the grid index of the better one.
+        """
+        U, _, Uh = self._gauge_grid()
+        W = self._gauge_cells()[2]
+        x, y = pts[:, 0], pts[:, 1]
+        i = self._gauge_cell(x, y)
+        j = (i + 1) % len(U)
+        gi = x * Uh[i, 0] + y * Uh[i, 1]
+        gj = x * Uh[j, 0] + y * Uh[j, 1]
+        return (np.maximum(gi, gj), np.where(gj > gi, j, i),
+                x * W[i, 0] + y * W[i, 1])
+
+    def _gauge_coarse(self, pts):
+        """Largest 3D grid ratio <p, u> / H(u) per row, and its grid index.
+
+        Rows are scanned in blocks of about GAUGE_BLOCK_RATIOS ratios (32
+        rows of the grid), so each block's ratio matrix stays near 1 MB and
+        is still in cache when argmax reads it back.  The inner dimension
+        is 3, so every row's ratios, and with them g and idx, do not depend
+        on the block size.
         """
         U, h, Uh = self._gauge_grid()
         block = GAUGE_BLOCK_RATIOS // len(U)
@@ -417,7 +520,8 @@ class ConvexBody:
     def gauge_argmax(self, v):
         """Gauge of a single vector together with the maximizing direction."""
         v = np.asarray(v, dtype=float)[None, :]
-        g0, idx = self._gauge_coarse(v)
+        g0, idx = (self._gauge_bracket(v)[:2] if self.dim == 2
+                   else self._gauge_coarse(v))
         g, u = self._gauge_refine(v, idx, g0)
         return float(g[0]), u[0]
 

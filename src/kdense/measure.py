@@ -197,11 +197,13 @@ def _copy_membership(K, x, r):
     A point outside K's padded support box has a coordinate beyond
     h_K(+-e_i) + 0.005 * width_i, and width_i > h_K(+-e_i), so its gauge is
     at least 1.005, far above 1 + MEMBERSHIP_TOL: it is outside.  Only the
-    points in the box reach ``K.contains``, so the result equals
-    ``K.contains((pts - x) / r)`` bit for bit wherever that gauge is right
-    to 0.5%.  (Where the coarse scan of a very eccentric K is worse, a
-    skipped point that ``K.contains`` would wrongly count inside is
-    counted outside.)
+    points in the box reach ``K.contains``.  In 2D the result equals
+    ``K.contains((pts - x) / r)`` bit for bit: that test counts a point
+    inside only when its chord bound, which is at least its gauge, or its
+    converged gauge is at most 1 + MEMBERSHIP_TOL, never for a gauge of
+    1.005 or more.  In 3D it does so wherever the coarse gauge is right to
+    0.5%; where the coarse scan of a very eccentric K is worse, a skipped point
+    that ``K.contains`` would wrongly count inside is counted outside.
     """
     if r <= 0:
         raise ValueError("dilation parameter r must be positive")

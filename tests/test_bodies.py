@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdense.bodies import (Ball, ConvexBody, Dilate, Ellipsoid, FourierBody2D,
-                           MinkowskiSum, Reflect, ReuleauxTriangle2D,
-                           Superellipse2D, Translate, as_direction,
+                           MEMBERSHIP_TOL, MinkowskiSum, Reflect,
+                           ReuleauxTriangle2D, Superellipse2D, SupportRows,
+                           Translate, _optimality_residual, as_direction,
                            boundary_point, boundary_points, curvature,
                            difference_body, normal_at, reverse_weingarten,
-                           sphere_directions, tangent_frame)
+                           sphere_directions, support_ratio_max,
+                           tangent_frame)
 from kdense.errors import NonUniqueSupport, SingularCurvature
+from kdense.measure import bounding_box
 from kdense.oracles import ellipse_curvature_param
 
 RNG = np.random.default_rng(7)
@@ -597,17 +600,31 @@ class TestGauge:
         assert list(G.contains(pts)) == [True, True, False, False]
 
     def test_coarse_scan_independent_of_block(self):
-        # point counts that are not multiples of the 256- and 32-row blocks
-        for G, n in ((Ellipsoid.from_semiaxes(2.0, 1.0), 1000),
-                     (Ellipsoid.from_semiaxes(1.5, 1.0, 0.8), 100)):
-            K = difference_body(G)
-            pts = RNG.normal(size=(n, G.dim))
-            _, _, Uh = K._gauge_grid()
-            ratios = pts @ Uh.T
-            idx = np.argmax(ratios, axis=1)
-            g, got = K._gauge_coarse(pts)
-            assert np.array_equal(got, idx)
-            assert np.array_equal(g, ratios[np.arange(n), idx])
+        # 3D scans blocks of 32 rows; 100 is not a multiple of it (the 2D
+        # lower bound is checked against the full product in
+        # TestGaugeBracket)
+        K = difference_body(Ellipsoid.from_semiaxes(1.5, 1.0, 0.8))
+        pts = RNG.normal(size=(100, 3))
+        _, _, Uh = K._gauge_grid()
+        ratios = pts @ Uh.T
+        idx = np.argmax(ratios, axis=1)
+        g, got = K._gauge_coarse(pts)
+        assert np.array_equal(got, idx)
+        assert np.array_equal(g, ratios[np.arange(100), idx])
+
+    def test_point_rows_keep_nan_jacobian(self):
+        # grad H_A = p is constant for point rows, so the search skips
+        # ray * 0; where the ray or p is not finite that product was NaN,
+        # and the Jacobian must stay NaN there
+        K = difference_body(Ellipsoid.from_semiaxes(2.0, 1.0))
+        U = _units(2, 4)
+        pts = np.vstack([2.0 * U[0], [-U[1, 1], U[1, 0]],
+                         [np.inf, 0.0], [np.nan, 1.0]])
+        T = np.column_stack([-U[:, 1], U[:, 0]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r, J = _optimality_residual(K, SupportRows(pts), U, [T])
+        assert np.all(np.isfinite(J[0])) and np.all(np.isfinite(r[0]))
+        assert np.all(np.isnan(J[1:]))
 
     def test_empty_input(self):
         # the pruned QMC predicates can hand a body no points at all
@@ -626,3 +643,128 @@ class TestGauge:
                 assert body.gauge_many(empty, refine=refine).shape == (0,)
             inside = body.contains(empty)
             assert inside.shape == (0,) and inside.dtype == bool
+
+
+def _rotation(t):
+    c, s = math.cos(t), math.sin(t)
+    return np.array([[c, -s], [s, c]])
+
+
+class TestGaugeBracket:
+    """The generic 2D gauge brackets each point by its grid cell: the outer
+    polygon of the grid normals from below, the cell's chord from above."""
+
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def _bodies():
+        """Generic 2D bodies, each with its gauge in closed form (or None)
+        and the error of its grid boundary points."""
+        E = Ellipsoid.from_semiaxes(2.0, 1.0)
+        S4, S8 = Superellipse2D(4.0), Superellipse2D(8.0)
+        R, v = ReuleauxTriangle2D(1.0), np.array([0.05, -0.03])
+
+        def reuleaux(P):  # an intersection of three disks
+            return np.max([Ball(R.width, center=c + v).gauge_many(P)
+                           for c in R.vertices], axis=0)
+
+        exact = 16 * TestGaugeBracket.EPS
+        return [
+            (difference_body(E), Ellipsoid(4.0 * E.Q).gauge_many, exact),
+            (difference_body(S4), lambda P: S4.gauge_many(P / 2.0), exact),
+            # flat at the axes: the cell wrapping past angle 0 spans 0.9 rad
+            (difference_body(S8), lambda P: S8.gauge_many(P / 2.0), exact),
+            (FourierBody2D([1.0, 0.0, 0.1, 0.05], [0.0, 0.0, 0.03, 0.02]),
+             None, exact),
+            # zero-width cells where several grid normals share a vertex
+            (Translate(R, v), reuleaux, exact),
+            # its boundary points carry the finite-difference gradient's
+            # error, about 1e-10, below the membership tolerance
+            (Ellipsoid.from_semiaxes(2.0, 1.0,
+                                     derivative_mode="finite-difference"),
+             E.gauge_many, MEMBERSHIP_TOL),
+            (Dilate(difference_body(S4), 0.7),
+             lambda P: S4.gauge_many(P / 1.4), exact),
+            (Reflect(Translate(difference_body(E), [0.3, -0.2])),
+             Ellipsoid(4.0 * E.Q, center=[-0.3, 0.2]).gauge_many, exact),
+        ]
+
+    @staticmethod
+    def _points(K, rng):
+        U, _, _ = K._gauge_grid()
+        X = boundary_points(K, U)
+        # random points, the grid boundary points (cell ends), chord
+        # midpoints and points next to the cell ends
+        return np.vstack([rng.normal(size=(2000, 2)), X, 0.7 * X,
+                          0.5 * (X + np.roll(X, -1, axis=0)),
+                          X + 1e-9 * rng.normal(size=X.shape)])
+
+    def test_bounds_hold(self):
+        rng = np.random.default_rng(11)
+        for K, closed, tol in self._bodies():
+            P = self._points(K, rng)
+            lo, _, hi = K._gauge_bracket(P)
+            # the base method: Dilate and Reflect forward their own gauges
+            g = (ConvexBody.gauge_many(K, P, refine="all") if closed is None
+                 else closed(P))
+            assert np.all(lo <= g * (1.0 + tol)), K
+            assert np.all(g <= hi * (1.0 + tol)), K
+            assert not np.any(np.isnan(hi)), K
+
+    def test_lower_bound_is_the_full_scan(self):
+        rng = np.random.default_rng(12)
+        for K, _, _ in self._bodies():
+            P = self._points(K, rng)
+            lo, idx, _ = K._gauge_bracket(P)
+            _, _, Uh = K._gauge_grid()
+            ratios = P @ Uh.T
+            full = ratios.max(axis=1)
+            assert np.allclose(lo, full, rtol=8 * self.EPS, atol=0.0), K
+            # the start normal attains the maximum
+            assert np.allclose(ratios[np.arange(len(P)), idx], full,
+                               rtol=8 * self.EPS, atol=0.0), K
+
+    def test_refinement_starts_at_the_full_scan_maximum(self):
+        # away from the grid boundary points, the refined gauge is bit for
+        # bit the sphere search started from the full scan's argmax
+        rng = np.random.default_rng(13)
+        for K, _, _ in self._bodies():
+            P = 2.0 * rng.normal(size=(2000, 2))
+            U, _, Uh = K._gauge_grid()
+            ratios = P @ Uh.T
+            want, _ = support_ratio_max(K, SupportRows(P),
+                                        U[np.argmax(ratios, axis=1)],
+                                        ratios.max(axis=1), len(U))
+            got = ConvexBody.gauge_many(K, P, refine="all")
+            assert np.array_equal(got, want), K
+
+    def test_cells_match_searchsorted(self):
+        rng = np.random.default_rng(14)
+        for K in (difference_body(Ellipsoid.from_semiaxes(200.0, 1.0)),
+                  difference_body(Superellipse2D(8.0)),
+                  Translate(ReuleauxTriangle2D(1.0), [0.05, -0.03])):
+            phi, order, _, _ = K._gauge_cells()
+            # random angles, the cell ends, and the next angle up
+            at = np.concatenate([phi, np.nextafter(phi, np.inf)])
+            P = np.vstack([rng.normal(size=(20000, 2)),
+                           np.column_stack([np.cos(at), np.sin(at)]),
+                           [[-1.0, 0.0], [-1.0, -0.0], [1.0, 0.0]]])
+            psi = np.arctan2(P[:, 1], P[:, 0])
+            want = order[np.searchsorted(phi, psi, side="right") - 1]
+            assert np.array_equal(K._gauge_cell(P[:, 0], P[:, 1]), want)
+
+    def test_eccentric_difference_bodies_classify_exactly(self):
+        # a window of 2% around gauge 1 misclassified box points of these
+        # difference bodies; the bracket decides each one
+        rng = np.random.default_rng(15)
+        E50 = Ellipsoid(_rotation(0.3) @ np.diag([50.0 ** 2, 1.0]) @
+                        _rotation(0.3).T)
+        E200 = Ellipsoid.from_semiaxes(200.0, 1.0)
+        c = np.array([60.0, -0.4])
+        for K, closed in ((difference_body(E50), Ellipsoid(4.0 * E50.Q)),
+                          (Translate(difference_body(E200), c),
+                           Ellipsoid(4.0 * E200.Q, center=c))):
+            lo, hi = bounding_box(closed, pad=0.0)
+            P = lo + rng.random((2 ** 17, 2)) * (hi - lo)
+            wrong = np.flatnonzero(K.contains(P) != closed.contains(P))
+            assert wrong.size == 0, f"{wrong.size} points misclassified"

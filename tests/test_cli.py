@@ -8,8 +8,8 @@ import pytest
 
 from kdense.cli import main
 
-SHIPPED = str(pathlib.Path(__file__).resolve().parent.parent /
-              "configs" / "verify.cfg")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SHIPPED = str(ROOT / "configs" / "verify.cfg")
 
 
 def _read_all(out_dir):
@@ -127,6 +127,30 @@ class TestVerify:
         assert main(["verify", SHIPPED, "--out", str(a)]) == 0
         assert main(["verify", SHIPPED, "--out", str(b)]) == 0
         assert _read_all(a) == _read_all(b)
+
+    def test_matches_committed_out(self, tmp_path):
+        """A fresh run reproduces the committed ``out/``: the same files,
+        rows, names and verdicts, and every number within 1e-9 relative.
+        Values below 1e-12 are residuals at the rounding level, which
+        move with the floating-point environment."""
+        out = tmp_path / "run"
+        assert main(["verify", SHIPPED, "--out", str(out)]) == 0
+        fresh, golden = _read_all(out), _read_all(ROOT / "out")
+        assert sorted(fresh) == sorted(golden)
+        for name, data in golden.items():
+            sep = "," if name.endswith(".csv") else None
+            want, got = ([line.split(sep) for line in d.decode().splitlines()]
+                         for d in (data, fresh[name]))
+            assert [len(r) for r in got] == [len(r) for r in want], name
+            for row_got, row_want in zip(got, want):
+                for a, b in zip(row_got, row_want):
+                    try:
+                        x, y = float(a), float(b)
+                    except ValueError:
+                        assert a == b, (name, row_want)
+                        continue
+                    assert (math.isnan(x) and math.isnan(y)) or math.isclose(
+                        x, y, rel_tol=1e-9, abs_tol=1e-12), (name, row_want)
 
 
 class TestExitCodes:

@@ -8,8 +8,8 @@ convex bodies.
 from .bodies import (Ball, ConvexBody, CurvatureData, Dilate, Ellipsoid,
                      FourierBody2D, MinkowskiSum, Reflect, ReuleauxTriangle2D,
                      Superellipse2D, Translate, boundary_point,
-                     boundary_points, curvature, difference_body, normal_at,
-                     tangent_frame)
+                     boundary_points, curvature, curvature_many,
+                     difference_body, normal_at, tangent_frame)
 from .errors import (ConfigError, DegenerateFit, FlatContact, GeometryError,
                      NonUniqueContact, NonUniqueSupport, SingularCurvature)
 from .measure import (OMEGA, IntegrationResult, QuadratureGrid,

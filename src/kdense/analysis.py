@@ -13,9 +13,10 @@ import math
 import numpy as np
 
 from . import measure
-from .bodies import (boundary_points, curvature, difference_body, normal_at,
-                     sphere_directions, tangent_frame)
-from .errors import NonUniqueContact, SingularCurvature
+from .bodies import (MinkowskiSum, _curvature, _frame, as_direction,
+                     boundary_points, curvature_many, difference_body,
+                     normal_at, sphere_directions)
+from .errors import NonUniqueContact
 
 
 class SpreadReport:
@@ -113,22 +114,43 @@ def petty_check(G, m=256):
 
     Constant ratio is the ellipsoid signature; directions with degenerate
     curvature are excluded from the statistics and counted in the report.
+    Its extra holds, per evaluated direction, the index into the m
+    directions, kappa and h; the ratios are its values.
     """
     N = G.dim
-    U = sphere_directions(N, m)
-    ratios = []
-    singular = 0
-    for u in U:
-        try:
-            kappa = curvature(G, u).kappa
-        except SingularCurvature:
-            singular += 1
-            continue
-        ratios.append(kappa / G.support(u) ** (N + 1))
-    rep = SpreadReport("kappa / h^(N+1)", ratios, 1e-6,
-                       extra={"singular_directions": singular,
-                              "constant": float(np.mean(ratios))})
-    return rep
+    data, singular = curvature_many(G, sphere_directions(N, m))
+    ok = ~singular
+    h = G.support_hom(data.u[ok])
+    kappa = data.kappa[ok]
+    # h^(N+1) by libm's pow, one value at a time: numpy's vectorized power
+    # can differ from it in the last bit
+    ratios = kappa / np.array([v ** (N + 1) for v in h.tolist()])
+    return SpreadReport("kappa / h^(N+1)", ratios, 1e-6,
+                        extra={"singular_directions": int(singular.sum()),
+                               "constant": float(np.mean(ratios)),
+                               "u_index": np.flatnonzero(ok),
+                               "kappa": kappa, "h": h})
+
+
+def _direction(u, dim):
+    """u validated and normalized once, as floats, and its tangent frame."""
+    u = tuple(as_direction(u, dim).tolist())
+    return u, _frame(u)
+
+
+def _shape(body, u, E):
+    """Entries of the shape operator S at u in the frame E (floats)."""
+    return _curvature(body, u, E)[1]
+
+
+def _full(S):
+    """Row-major entries of the 1x1 or symmetric 2x2 matrix with entries S."""
+    return S if len(S) == 1 else (S[0], S[1], S[1], S[2])
+
+
+def _frobenius_gap(P, Q):
+    """Frobenius norm of P - Q, both given by row-major entries."""
+    return math.hypot(*(p - q for p, q in zip(P, Q)))
 
 
 def krantz_parks_check(A, B, u):
@@ -137,16 +159,11 @@ def krantz_parks_check(A, B, u):
     Compares S_{A+B} with [I + S_A^{-1} S_B]^{-1} S_B in the shared frame
     of u; algebraically this is additivity of the reverse Weingarten maps.
     """
-    from .bodies import MinkowskiSum
-    F = tangent_frame(np.asarray(u, dtype=float))
-    S_A = curvature(A, u, frame=F).S
-    S_B = curvature(B, u, frame=F).S
-    S_AB = curvature(MinkowskiSum(A, B), u, frame=F).S
-    return _frobenius(S_AB - _harmonic_compose(S_A, S_B))
-
-
-def _frobenius(M):
-    return math.hypot(*M.ravel().tolist())
+    u, F = _direction(u, A.dim)
+    S_A = _shape(A, u, F)
+    S_B = _shape(B, u, F)
+    S_AB = _shape(MinkowskiSum(A, B), u, F)
+    return _frobenius_gap(_full(S_AB), _harmonic_compose(S_A, S_B))
 
 
 def _harmonic_compose(S_A, S_B):
@@ -154,26 +171,26 @@ def _harmonic_compose(S_A, S_B):
 
     The resolvent factor must multiply on the right: the left-multiplied
     reading (I + S_A^{-1} S_B)^{-1} S_B only agrees when the shape
-    operators commute, which fails for generic 3D pairs.  The matrices are
-    1x1 or 2x2, so both inverses are adjugates over determinants.
+    operators commute, which fails for generic 3D pairs.  S_A and S_B are
+    the entries of symmetric 1x1 or 2x2 matrices, (s11,) or (s11, s12,
+    s22); both inverses are adjugates over determinants.  Returns the
+    row-major entries of the product, which rounding leaves unsymmetric.
     """
     if len(S_A) == 1:
-        a, b = S_A.item(), S_B.item()
-        return np.array([[b / (1.0 + b / a)]])
-    (a11, a12), (a21, a22) = S_A.tolist()
-    (b11, b12), (b21, b22) = S_B.tolist()
-    det_a = a11 * a22 - a12 * a21
+        (a,), (b,) = S_A, S_B
+        return (b / (1.0 + b / a),)
+    a11, a12, a22 = S_A
+    b11, b12, b22 = S_B
+    det_a = a11 * a22 - a12 * a12
     # M = I + S_A^{-1} S_B
-    m11 = 1.0 + (a22 * b11 - a12 * b21) / det_a
+    m11 = 1.0 + (a22 * b11 - a12 * b12) / det_a
     m12 = (a22 * b12 - a12 * b22) / det_a
-    m21 = (a11 * b21 - a21 * b11) / det_a
-    m22 = 1.0 + (a11 * b22 - a21 * b12) / det_a
+    m21 = (a11 * b12 - a12 * b11) / det_a
+    m22 = 1.0 + (a11 * b22 - a12 * b12) / det_a
     det_m = m11 * m22 - m12 * m21
     # S_B M^{-1}
-    return np.array([[(b11 * m22 - b12 * m21) / det_m,
-                      (b12 * m11 - b11 * m12) / det_m],
-                     [(b21 * m22 - b22 * m21) / det_m,
-                      (b22 * m11 - b21 * m12) / det_m]])
+    return ((b11 * m22 - b12 * m21) / det_m, (b12 * m11 - b11 * m12) / det_m,
+            (b12 * m22 - b22 * m21) / det_m, (b22 * m11 - b12 * m12) / det_m)
 
 
 def kp1_check(G, u, K=None):
@@ -183,26 +200,24 @@ def kp1_check(G, u, K=None):
     [I + S_G(u)^{-1} S_G(-u)]^{-1} S_G(-u) in a shared frame, and that
     S_G(u) - S_K(u) is positive definite.
     """
-    u = np.asarray(u, dtype=float)
     if K is None:
         K = difference_body(G)
-    F = tangent_frame(u)
-    S_K = curvature(K, u, frame=F).S
-    S_Gu = curvature(G, u, frame=F).S
-    S_Gmu = curvature(G, -u, frame=F).S
+    u, F = _direction(u, G.dim)
+    S_K = _shape(K, u, F)
+    S_Gu = _shape(G, u, F)
+    S_Gmu = _shape(G, tuple(-c for c in u), F)
     rhs = _harmonic_compose(S_Gu, S_Gmu)
-    if not _is_positive_definite(S_Gu - S_K):
+    if not _is_positive_definite([g - k for g, k in zip(S_Gu, S_K)]):
         raise ValueError("S_G(u) - S_K(u) is not positive definite")
-    return _frobenius(S_K - rhs)
+    return _frobenius_gap(_full(S_K), rhs)
 
 
 def _is_positive_definite(M):
-    """Positive definiteness of the symmetric part of a 1x1 or 2x2 matrix."""
+    """Positive definiteness of a symmetric 1x1 or 2x2 matrix, by entries."""
     if len(M) == 1:
-        return M.item() > 0
-    (a, b), (c, d) = M.tolist()
-    off = 0.5 * (b + c)
-    return a > 0 and a * d - off * off > 0
+        return M[0] > 0
+    a, b, d = M
+    return a > 0 and a * d - b * b > 0
 
 
 def curvature_symmetry_check(G, m=64):
@@ -212,16 +227,12 @@ def curvature_symmetry_check(G, m=64):
     every pair is skipped nothing was compared, and the maximum is NaN.
     """
     U = sphere_directions(G.dim, m)
-    diffs = []
-    for u in U:
-        try:
-            k1 = curvature(G, u).kappa
-            k2 = curvature(G, -u).kappa
-        except SingularCurvature:
-            continue
-        diffs.append(abs(k1 - k2))
-    worst = max(diffs) if diffs else float("nan")
-    return worst, len(U) - len(diffs)
+    plus, singular_plus = curvature_many(G, U)
+    minus, singular_minus = curvature_many(G, -U)
+    ok = ~(singular_plus | singular_minus)
+    diffs = np.abs(plus.kappa - minus.kappa)[ok]
+    worst = float(diffs.max()) if diffs.size else float("nan")
+    return worst, len(U) - int(ok.sum())
 
 
 def symmetry_center(G, m=64):

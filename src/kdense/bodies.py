@@ -4,15 +4,18 @@ Every body exposes the 1-homogeneous extension H(v) = |v| h(v/|v|) of its
 support function, plus its gradient (the boundary point with a given
 outward normal) and Hessian.  The second-order primitive of each analytic
 kind is the tangent block R = E' H(u) E in an orthonormal frame E of the
-plane orthogonal to u (the reverse Weingarten map), built in closed form;
-curvature uses it directly and the Hessian is E R E' / |v|.  Bodies in
-finite-difference mode take the Hessian by central differences and project
-it.  The Minkowski algebra (sums, dilations, translations, reflections)
+plane orthogonal to u (the reverse Weingarten map), built in closed form
+once, on components: each component of u and E is a float or an array of
+equal length, so one form serves a single direction (``curvature``, the
+identity checks) and a stack of them (``curvature_many``, the support
+integral).  The Hessian is E R E' / |v|.  Bodies in finite-difference mode
+take the Hessian by central differences and project it, one direction at a
+time.  The Minkowski algebra (sums, dilations, translations, reflections)
 acts linearly on H and on the tangent block.  One sphere search for the
 largest support ratio serves gauges, normals and circumscribed ratios.  A 2D
 gauge is bracketed by the grid cell of its point's angle, from below by the
 outer polygon of the grid normals and from above by the chord between two
-boundary points, so membership is decided by certified bounds and only the
+boundary points, so membership is decided by those bounds and only the
 points they leave open are searched; 3D refines coarse gauges near 1.
 """
 
@@ -22,6 +25,7 @@ import numpy as np
 
 from .errors import NonUniqueSupport, SingularCurvature
 
+# how far a caller's frame may be from orthonormal and orthogonal to u
 UNIT_TOL = 1e-12
 MEMBERSHIP_TOL = 1e-9
 
@@ -51,6 +55,38 @@ def as_direction(u, dim=None):
     return u / n
 
 
+def _as_directions(U, dim):
+    """Validate the rows of U as unit directions and normalize each one
+    exactly as ``as_direction`` does: the batched matmul of a row with
+    itself takes the same dot product as ``u @ u``."""
+    U = np.asarray(U, dtype=float)
+    if U.ndim != 2 or U.shape[1] != dim:
+        raise ValueError(f"directions must be the rows of an (n, {dim}) array")
+    n = np.sqrt((U[:, None, :] @ U[:, :, None])[:, 0, 0])
+    if np.any(np.abs(n - 1.0) > 1e-9):
+        raise ValueError("directions are not unit")
+    return U / n[:, None]
+
+
+def _frame(u):
+    """The columns of ``tangent_frame(u)`` as tuples of floats."""
+    if len(u) == 2:
+        return ((-u[1], u[0]),)
+    a = [abs(c) for c in u]
+    k = a.index(min(a))
+    e1 = [-u[k] * c for c in u]
+    e1[k] += 1.0
+    n = math.sqrt(e1[0] * e1[0] + e1[1] * e1[1] + e1[2] * e1[2])
+    x1, y1, z1 = (c / n for c in e1)
+    x, y, z = u
+    return ((x1, y1, z1), (y * z1 - z * y1, z * x1 - x * z1, x * y1 - y * x1))
+
+
+def _frame_matrix(E):
+    """The (N, N-1) matrix whose columns are E."""
+    return np.array(E).T.copy()
+
+
 def tangent_frame(u):
     """Deterministic orthonormal basis of the hyperplane orthogonal to u.
 
@@ -59,19 +95,24 @@ def tangent_frame(u):
     aligned with u and the second closes a right-handed frame.  Returns an
     (N, N-1) matrix with the basis vectors as columns.
     """
-    u = np.asarray(u, dtype=float).tolist()
-    if len(u) == 2:
-        return np.array([[-u[1]], [u[0]]])
-    a = [abs(c) for c in u]
-    k = a.index(min(a))
-    e1 = [-u[k] * c for c in u]
-    e1[k] += 1.0
-    n = math.sqrt(e1[0] * e1[0] + e1[1] * e1[1] + e1[2] * e1[2])
-    x1, y1, z1 = (c / n for c in e1)
-    x, y, z = u
-    return np.array([[x1, y * z1 - z * y1],
-                     [y1, z * x1 - x * z1],
-                     [z1, x * y1 - y * x1]])
+    return _frame_matrix(_frame(np.asarray(u, dtype=float).tolist()))
+
+
+def _frame_columns(frame, u):
+    """The columns of a caller's frame, which must be an orthonormal basis
+    of the plane orthogonal to u: the closed-form blocks read E only as
+    such a basis, so any other frame would give a wrong R without error."""
+    E = np.asarray(frame, dtype=float)
+    N = len(u)
+    if E.shape != (N, N - 1):
+        raise ValueError(f"frame must be an ({N}, {N - 1}) matrix")
+    gram = np.abs(E.T @ E - np.eye(N - 1)).max()
+    normal = np.abs(np.asarray(u) @ E).max()
+    if not (gram <= UNIT_TOL and normal <= UNIT_TOL):
+        raise ValueError("frame is not an orthonormal basis of the plane "
+                         f"orthogonal to u (|E'E - I| = {gram:.3e}, "
+                         f"|E'u| = {normal:.3e})")
+    return tuple(map(tuple, E.T.tolist()))
 
 
 def _frames_many(U):
@@ -268,6 +309,23 @@ def _angle_bucket(psi, n):
     return np.clip(b, 0, n - 1)
 
 
+def _sqrt(x):
+    """Square root of a float or an array; both are correctly rounded, so
+    a stacked entry equals its single-direction value."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _as_arrays(u):
+    """The components of u as 1-d arrays, and whether u is one direction.
+
+    numpy's vectorized arctan2 and power can differ from libm's in the
+    last bit, so a single direction is evaluated as a stack of one, and
+    its value equals the stacked one bit for bit.
+    """
+    single = not isinstance(u[0], np.ndarray)
+    return [np.atleast_1d(c) for c in u], single
+
+
 # ---------------------------------------------------------------------------
 # base class
 
@@ -329,29 +387,50 @@ class ConvexBody:
         v = np.asarray(v, dtype=float)
         if self.derivative_mode == "analytic":
             n = math.sqrt(v @ v)
-            u = v / n
-            E = tangent_frame(u)
+            u = tuple((v / n).tolist())
+            E = _frame(u)
             R = self._tangent_block_impl(u, E)
             if R is not None:
-                return E @ np.array(R) @ E.T / n
+                E = _frame_matrix(E)
+                return E @ _block_matrix(R) @ E.T / n
         return self._fd_hessian(v)
 
     def _tangent_block(self, u, E):
-        """Tangent block R = E' H(u) E of the Hessian, as nested floats.
+        """Entries of the tangent block R = E' H(u) E: (r11,) in 2D and the
+        symmetric (r11, r12, r22) in 3D.
 
-        u is a unit direction and E an (N, N-1) matrix whose columns are
-        an orthonormal basis of the plane orthogonal to u.  Analytic bodies
-        build the (N-1)x(N-1) block in closed form; finite-difference
-        bodies project ``hessian_hom``.
+        u is a unit direction and E the columns of an orthonormal basis of
+        the plane orthogonal to it, both given by components: each one a
+        float, or for a stack of directions an array of equal length.  The
+        entries come back in the same type.  Analytic bodies build them in
+        closed form from the components; finite-difference bodies project
+        ``hessian_hom``, one direction at a time.
         """
         if self.derivative_mode == "analytic":
             R = self._tangent_block_impl(u, E)
             if R is not None:
                 return R
-        return (E.T @ self.hessian_hom(u) @ E).tolist()
+        if not isinstance(u[0], np.ndarray):
+            return self._fd_block(u, E)
+        u = [c.tolist() for c in u]
+        E = [[c.tolist() for c in e] for e in E]
+        rows = [self._fd_block([c[i] for c in u],
+                               [[c[i] for c in e] for e in E])
+                for i in range(len(u[0]))]
+        return tuple(np.array(r) for r in zip(*rows))
 
     def _tangent_block_impl(self, u, E):
         return None
+
+    def _fd_block(self, u, E):
+        """The projection E' H(u) E of ``hessian_hom`` at one direction,
+        with its off-diagonal entry symmetrized."""
+        E = _frame_matrix(E)
+        P = (E.T @ self.hessian_hom(np.array(u)) @ E).tolist()
+        if len(P) == 1:
+            return (P[0][0],)
+        (r11, r12), (r21, r22) = P
+        return (r11, 0.5 * (r12 + r21), r22)
 
     def _fd_gradient(self, V):
         scale = np.linalg.norm(V, axis=1, keepdims=True)
@@ -453,7 +532,11 @@ class ConvexBody:
         point by the sphere search, and ``'auto'`` refines only what a
         membership test needs: in 2D the points whose bounds do not decide
         gauge <= 1 + MEMBERSHIP_TOL, in 3D the coarse gauges within
-        GAUGE_REFINE_MARGIN of 1.
+        GAUGE_REFINE_MARGIN of 1.  The 2D upper bound is only as exact as
+        the grid boundary points (see ``_gauge_bracket``), so for a
+        finite-difference body a point counted inside can have a gauge a
+        little above 1 + MEMBERSHIP_TOL: 1.4e-10 relative above it on a
+        finite-difference ellipse.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.dim == 2:
@@ -480,6 +563,11 @@ class ConvexBody:
         gauge: that is lo, the full scan's maximum.  The chord X_i X_{i+1}
         lies in K, so its gauge is hi.  The maximizing normal lies between
         u_i and u_{i+1}; idx is the grid index of the better one.
+
+        hi is certified only as far as the boundary points X_i are exact.
+        A finite-difference body's carry the error of its central-difference
+        gradient: on a finite-difference (2, 1) ellipse the exact gauge
+        exceeded hi by up to 1.4e-10 relative, below MEMBERSHIP_TOL.
         """
         U, _, Uh = self._gauge_grid()
         W = self._gauge_cells()[2]
@@ -570,7 +658,7 @@ class Ball(ConvexBody):
 
     def _tangent_block_impl(self, u, E):
         r = self.radius
-        return [[r]] if self.dim == 2 else [[r, 0.0], [0.0, r]]
+        return (r,) if self.dim == 2 else (r, 0.0, r)
 
     def gauge_many(self, pts, refine="auto"):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -647,12 +735,12 @@ class Ellipsoid(ConvexBody):
         # e'Qe u'Qu - (e'Qu)^2 = det Q det[u e]^2 and det[u e] = +-1
         if self.dim == 2:
             a, b, d = self._Q_upper
-            x, y = u.tolist()
+            x, y = u
             s2 = a * x * x + 2.0 * b * x * y + d * y * y
-            return [[(a * d - b * b) / (s2 * math.sqrt(s2))]]
+            return ((a * d - b * b) / (s2 * _sqrt(s2)),)
         a, b, c, d, e, f = self._Q_upper
-        x, y, z = u.tolist()
-        (x1, x2), (y1, y2), (z1, z2) = E.tolist()
+        x, y, z = u
+        (x1, y1, z1), (x2, y2, z2) = E
         # Qu against u, e1, e2; then Qe1 against e1, e2; then Qe2 against e2
         qx = a * x + b * y + c * z
         qy = b * x + d * y + e * z
@@ -669,10 +757,9 @@ class Ellipsoid(ConvexBody):
         qy = b * x2 + d * y2 + e * z2
         qz = c * x2 + e * y2 + f * z2
         r22 = x2 * qx + y2 * qy + z2 * qz
-        s3 = s2 * math.sqrt(s2)
-        off = (r12 * s2 - p1 * p2) / s3
-        return [[(r11 * s2 - p1 * p1) / s3, off],
-                [off, (r22 * s2 - p2 * p2) / s3]]
+        s3 = s2 * _sqrt(s2)
+        return ((r11 * s2 - p1 * p1) / s3, (r12 * s2 - p1 * p2) / s3,
+                (r22 * s2 - p2 * p2) / s3)
 
     def gauge_many(self, pts, refine="auto"):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -713,11 +800,13 @@ class _Theta2DBody(ConvexBody):
 
     def _tangent_block_impl(self, u, E):
         # the radius of curvature h + h''
-        t = np.arctan2(u[1:], u[:1])
+        (x, y), single = _as_arrays(u)
+        t = np.arctan2(y, x)
         d2h = self.d2h_theta(t)
         if d2h is None:
             return None
-        return [[float(self.h_theta(t)[0] + d2h[0])]]
+        r = self.h_theta(t) + d2h
+        return (float(r[0]) if single else r,)
 
 
 class FourierBody2D(_Theta2DBody):
@@ -741,12 +830,23 @@ class FourierBody2D(_Theta2DBody):
 
     def _series(self, t, deriv):
         k = np.arange(len(self.a))
-        kt = np.multiply.outer(t, k)
         if deriv == 0:
-            return np.cos(kt) @ self.a + np.sin(kt) @ self.b
-        if deriv == 1:
-            return -np.sin(kt) @ (k * self.a) + np.cos(kt) @ (k * self.b)
-        return -np.cos(kt) @ (k * k * self.a) - np.sin(kt) @ (k * k * self.b)
+            wc, ws = self.a, self.b
+        elif deriv == 1:
+            wc, ws = k * self.b, -k * self.a
+        else:
+            wc, ws = -k * k * self.a, -k * k * self.b
+        t = np.asarray(t, dtype=float)
+        w = (-1,) + (1,) * t.ndim
+        kt = np.multiply.outer(k, t)
+        terms = np.cos(kt) * wc.reshape(w) + np.sin(kt) * ws.reshape(w)
+        # added term by term: each angle's value is then the same however
+        # many angles are evaluated with it, which a matrix product's
+        # blocking does not guarantee
+        total = terms[0].copy()
+        for term in terms[1:]:
+            total += term
+        return total
 
     def h_theta(self, t):
         return self._series(t, 0)
@@ -791,11 +891,12 @@ class Superellipse2D(ConvexBody):
         # radius of curvature (q-1) |xy|^(q-2) (|x|^q + |y|^q)^(1/q-2) at a
         # unit u = (x, y); infinite on the axes, where the boundary is flat
         q = self.q
-        x, y = np.abs(u)
+        (x, y), single = _as_arrays(u)
+        x, y = np.abs(x), np.abs(y)
         with np.errstate(divide="ignore", over="ignore"):
             r = (q - 1.0) * (x * y) ** (q - 2.0) * \
                 (x ** q + y ** q) ** (1.0 / q - 2.0)
-        return [[float(r)]]
+        return (float(r[0]) if single else r,)
 
     def gauge_many(self, pts, refine="auto"):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -900,7 +1001,7 @@ class MinkowskiSum(ConvexBody):
     def _tangent_block_impl(self, u, E):
         A = self.left._tangent_block(u, E)
         B = self.right._tangent_block(u, E)
-        return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+        return tuple(a + b for a, b in zip(A, B))
 
 
 class Dilate(ConvexBody):
@@ -921,7 +1022,7 @@ class Dilate(ConvexBody):
 
     def _tangent_block_impl(self, u, E):
         t = self.factor
-        return [[t * a for a in row] for row in self.body._tangent_block(u, E)]
+        return tuple(t * r for r in self.body._tangent_block(u, E))
 
     def gauge_many(self, pts, refine="auto"):
         return self.body.gauge_many(np.asarray(pts, dtype=float) / self.factor, refine)
@@ -965,7 +1066,7 @@ class Reflect(ConvexBody):
         return -self.body.gradient_hom(-V)
 
     def _tangent_block_impl(self, u, E):
-        return self.body._tangent_block(-u, E)
+        return self.body._tangent_block(tuple(-c for c in u), E)
 
     def gauge_many(self, pts, refine="auto"):
         return self.body.gauge_many(-np.asarray(pts, dtype=float), refine)
@@ -984,7 +1085,11 @@ def difference_body(G):
 # curvature
 
 class CurvatureData:
-    """Tangent frame, reverse Weingarten matrix, shape operator and kappa."""
+    """Tangent frame, reverse Weingarten matrix, shape operator and kappa.
+
+    From ``curvature`` each field is one direction's; from
+    ``curvature_many`` each is a stack with one direction per row.
+    """
 
     def __init__(self, u, frame, R, S, kappa):
         self.u = u
@@ -997,17 +1102,70 @@ class CurvatureData:
         return f"CurvatureData(u={self.u}, kappa={self.kappa})"
 
 
+# The algebra below runs on the entries of a tangent block, (r11,) or
+# (r11, r12, r22), each a float or an array: one form for both callers.
+
+def _det(R):
+    return R[0] if len(R) == 1 else R[0] * R[2] - R[1] * R[1]
+
+
+def _inverse(R, det_r):
+    """Entries of S = R^-1, by the adjugate."""
+    if len(R) == 1:
+        return (1.0 / R[0],)
+    r11, r12, r22 = R
+    return (r22 / det_r, -r12 / det_r, r11 / det_r)
+
+
+def _degenerate(R, det_r):
+    """det R < 1e-12 max(1, |r_ij|)^(N-1): a flat or infinitely curved point.
+
+    Rounding is monotone, so det R is below 1e-12 times the power of the
+    largest entry exactly when it is below that product for some entry;
+    tested entry by entry, the same expression serves floats and arrays.
+    """
+    flat = det_r < 1e-12
+    for r in R:
+        a = abs(r)
+        flat = flat | (det_r < 1e-12 * (a if len(R) == 1 else a * a))
+    return flat
+
+
+def _block_matrix(R):
+    """The symmetric matrix with entries R, or the stack of them."""
+    M = np.array([[R[0]]] if len(R) == 1 else [[R[0], R[1]], [R[1], R[2]]])
+    return M if M.ndim == 2 else np.moveaxis(M, -1, 0)
+
+
+def _curvature(body, u, E):
+    """Entries of R and S = R^-1, and kappa = det S, at one direction.
+
+    u and E are tuples of floats: the unit direction and the columns of an
+    orthonormal frame of the plane orthogonal to it.  Raises
+    SingularCurvature where the data is degenerate (see ``curvature``).
+    """
+    R = body._tangent_block(u, E)
+    if not all(map(math.isfinite, R)):
+        raise SingularCurvature(f"support Hessian not finite at u={u}",
+                                direction=np.array(u))
+    det_r = _det(R)
+    if _degenerate(R, det_r):
+        raise SingularCurvature(
+            f"degenerate reverse Weingarten matrix at u={u} (det R = {det_r:.3e})",
+            direction=np.array(u))
+    return R, _inverse(R, det_r), 1.0 / det_r
+
+
 def reverse_weingarten(body, u, frame=None):
     """Reverse Weingarten matrix of the body at the unit direction u.
 
     The frame's columns must be an orthonormal basis of the hyperplane
     orthogonal to u (the frame of -u is allowed, which lets antipodal
-    curvatures share a basis).
+    curvatures share a basis); any other frame raises ValueError.
     """
-    u = as_direction(u, body.dim)
-    E = tangent_frame(u) if frame is None else frame
-    R = np.array(body._tangent_block(u, E))
-    return 0.5 * (R + R.T), E
+    u = tuple(as_direction(u, body.dim).tolist())
+    E = _frame(u) if frame is None else _frame_columns(frame, u)
+    return _block_matrix(body._tangent_block(u, E)), _frame_matrix(E)
 
 
 def curvature(body, u, frame=None):
@@ -1020,30 +1178,44 @@ def curvature(body, u, frame=None):
     body's tangent block; the frame is as in ``reverse_weingarten``.
     """
     u = as_direction(u, body.dim)
-    E = tangent_frame(u) if frame is None else frame
-    R = body._tangent_block(u, E)
+    c = tuple(u.tolist())
+    E = _frame(c) if frame is None else _frame_columns(frame, c)
+    R, S, kappa = _curvature(body, c, E)
+    return CurvatureData(u, _frame_matrix(E), _block_matrix(R),
+                         _block_matrix(S), kappa)
+
+
+def curvature_many(body, U):
+    """Curvature data at every unit row of U, and the singular rows.
+
+    Returns (data, singular).  data is a CurvatureData of stacks: u (n, N),
+    frame (n, N, N-1), R and S (n, N-1, N-1) and kappa (n,).  singular
+    marks the rows where ``curvature`` raises SingularCurvature, by the
+    same finiteness and determinant tests; their S and kappa are NaN.
+    Every other row equals ``curvature(body, u)`` bit for bit: the rows are
+    normalized as by ``as_direction``, the frames are ``tangent_frame``'s,
+    and the tangent block and its inverse are the same arithmetic on
+    arrays.
+    """
+    U = _as_directions(U, body.dim)
     if body.dim == 2:
-        (r11,), = R
-        det_r = r11
-        entries = (r11,)
+        x, y = np.ascontiguousarray(U.T)
+        u, E = (x, y), ((-y, x),)
+        frame = np.column_stack([-y, x])[:, :, None]
     else:
-        (r11, r12), (r21, r22) = R
-        r12 = 0.5 * (r12 + r21)  # the symmetric part
-        det_r = r11 * r22 - r12 * r12
-        entries = (r11, r12, r22)
-    if not all(map(math.isfinite, entries)):
-        raise SingularCurvature(f"support Hessian not finite at u={u}", direction=u)
-    scale = max(1.0, *map(abs, entries)) ** (body.dim - 1)
-    if det_r < 1e-12 * scale:
-        raise SingularCurvature(
-            f"degenerate reverse Weingarten matrix at u={u} (det R = {det_r:.3e})",
-            direction=u)
-    if body.dim == 2:
-        R, S = [[r11]], [[1.0 / r11]]
-    else:
-        R = [[r11, r12], [r12, r22]]
-        S = [[r22 / det_r, -r12 / det_r], [-r12 / det_r, r11 / det_r]]
-    return CurvatureData(u, E, np.array(R), np.array(S), 1.0 / det_r)
+        e1, e2 = _frames_many(U)
+        u = tuple(np.ascontiguousarray(U.T))
+        E = (tuple(np.ascontiguousarray(e1.T)),
+             tuple(np.ascontiguousarray(e2.T)))
+        frame = np.stack([e1, e2], axis=2)
+    R = tuple(np.broadcast_to(r, len(U)) for r in body._tangent_block(u, E))
+    with np.errstate(all="ignore"):
+        det_r = _det(R)
+        singular = ~np.isfinite(R).all(axis=0) | _degenerate(R, det_r)
+        S, kappa = _block_matrix(_inverse(R, det_r)), 1.0 / det_r
+    S[singular] = np.nan
+    kappa[singular] = np.nan
+    return CurvatureData(U, frame, _block_matrix(R), S, kappa), singular
 
 
 # ---------------------------------------------------------------------------

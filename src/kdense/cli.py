@@ -143,20 +143,13 @@ def run_asymptotic(spec, cfg, state, overrides):
 
 def run_petty(spec, cfg, state, overrides):
     G = cfg.body(spec.get("body"))
-    m = spec.get_int("directions", 256)
-    U = sphere_directions(G.dim, m)
-    rows, ratios = [], []
-    for i, u in enumerate(U):
-        try:
-            kappa = curvature(G, u).kappa
-        except SingularCurvature:
-            continue
-        h = G.support(u)
-        ratio = kappa / h ** (G.dim + 1)
-        rows.append((spec.get("body"), i, kappa, h, ratio))
-        ratios.append(ratio)
-    spread = (max(ratios) - min(ratios)) / (sum(ratios) / len(ratios))
+    rep = analysis.petty_check(G, m=spec.get_int("directions", 256))
+    e = rep.extra
+    rows = [(spec.get("body"), i, kappa, h, ratio) for i, kappa, h, ratio in
+            zip(e["u_index"].tolist(), e["kappa"].tolist(), e["h"].tolist(),
+                rep.values.tolist())]
     budget = spec.get_float("budget", 1e-6)
+    spread = rep.relative_spread
     state.record(spec.name, "petty_ratio_spread", spec.get("body"), spread,
                  "constant" if spread <= budget else "not_constant")
     return ["body", "u_index", "kappa", "h", "ratio"], rows, None

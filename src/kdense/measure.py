@@ -13,7 +13,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from . import bodies
-from .bodies import curvature, sphere_directions
+from .bodies import curvature_many, sphere_directions
 from .errors import SingularCurvature
 
 # surface measure of the unit sphere one dimension down (S^{N-2})
@@ -154,11 +154,14 @@ def volume_quadrature(body, n=None):
 
 
 def _support_integral(body, grid):
+    data, singular = curvature_many(body, grid.nodes)
+    if singular.any():
+        u = data.u[np.argmax(singular)]
+        raise SingularCurvature(f"degenerate curvature data at u={u}",
+                                direction=u)
     h = body.support_hom(grid.nodes)
     # det R = 1 / kappa, from the closed-form 1x1 or 2x2 determinant
-    det_r = np.fromiter((1.0 / curvature(body, u).kappa for u in grid.nodes),
-                        float, len(grid.nodes))
-    return grid.integrate(h * det_r) / body.dim
+    return grid.integrate(h * (1.0 / data.kappa)) / body.dim
 
 
 def volume(body, method="auto", n=None, qmc_points=DEFAULT_QMC_POINTS,

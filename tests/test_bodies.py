@@ -12,9 +12,10 @@ from kdense.bodies import (Ball, ConvexBody, Dilate, Ellipsoid, FourierBody2D,
                            ReuleauxTriangle2D, Superellipse2D, SupportRows,
                            Translate, _optimality_residual, as_direction,
                            boundary_point, boundary_points, curvature,
-                           difference_body, normal_at, reverse_weingarten,
-                           sphere_directions, support_ratio_max,
-                           tangent_frame)
+                           curvature_many, difference_body, normal_at,
+                           reverse_weingarten, sphere_directions,
+                           support_ratio_max, tangent_frame)
+from kdense import measure
 from kdense.errors import NonUniqueSupport, SingularCurvature
 from kdense.measure import bounding_box
 from kdense.oracles import ellipse_curvature_param
@@ -382,6 +383,32 @@ class TestCurvature:
         with pytest.raises(ValueError):
             curvature(Ball(1.0), [2.0, 0.0])
 
+    def test_frame_must_be_orthonormal(self):
+        # the closed-form blocks read the frame only as an orthonormal basis
+        # of the plane orthogonal to u; a scaled or skewed one must raise,
+        # not give a wrong R
+        for axes in ((2.0, 1.0), (2.0, 1.0, 1.5)):
+            G = Ellipsoid.from_semiaxes(*axes)
+            u = as_direction(_units(len(axes), 1)[0])
+            E = tangent_frame(u)
+            tilted = E + 0.1 * u[:, None]
+            tilted /= np.linalg.norm(tilted, axis=0)
+            bad = [2.0 * E, (1.0 + 1e-9) * E, tilted]
+            if len(axes) == 3:
+                skewed = (E[:, 0] + E[:, 1]) / math.sqrt(2.0)
+                bad.append(np.column_stack([E[:, 0], skewed]))
+            bad.append(E[:, :1] if len(axes) == 3 else np.column_stack([E, E]))
+            for frame in bad:
+                with pytest.raises(ValueError):
+                    curvature(G, u, frame=frame)
+                with pytest.raises(ValueError):
+                    reverse_weingarten(G, u, frame=frame)
+            # the frame of -u is an orthonormal basis of the same plane
+            for frame in (E, tangent_frame(-u)):
+                assert curvature(G, u, frame=frame).kappa == pytest.approx(
+                    curvature(G, u).kappa, rel=1e-14)
+                reverse_weingarten(G, u, frame=frame)
+
 
 def _rotated_ellipsoid(rng, semiaxes, center=None):
     dim = len(semiaxes)
@@ -545,6 +572,103 @@ class TestTangentBlock:
         # an analytic sum projects only its finite-difference summand
         curvature(MinkowskiSum(Ellipsoid.from_semiaxes(2.0, 1.0, 1.5), fd), u)
         assert calls == [fd, fd]
+
+
+class TestCurvatureMany:
+    """curvature_many against curvature, one direction at a time."""
+
+    @staticmethod
+    def _bodies():
+        E2 = Ellipsoid.from_semiaxes(2.0, 1.0, center=[0.3, -0.2])
+        E3 = Ellipsoid.from_semiaxes(2.0, 1.0, 1.5, center=[0.1, 0.0, -0.2])
+        fourier = FourierBody2D([1.0, 0.0, 0.0, 0.1])
+        fd = dict(derivative_mode="finite-difference")
+        return _zoo() + [
+            ReuleauxTriangle2D(1.0), E2, E3,
+            _rotated_ellipsoid(np.random.default_rng(31), (2.0, 1.0, 1.5)),
+            Dilate(E3, 2.5), Dilate(fourier, 0.5),
+            Translate(E2, [0.1, 0.2]), Translate(E3, [0.1, 0.2, 0.0]),
+            Reflect(E3), Reflect(fourier),
+            difference_body(E2), difference_body(E3),
+            difference_body(Superellipse2D(4.0)),
+            MinkowskiSum(fourier, Superellipse2D(4.0)),
+            MinkowskiSum(E3, Ball(0.7, dim=3)),
+            Ellipsoid.from_semiaxes(2.0, 1.0, 1.5, **fd),
+            FourierBody2D([1.0, 0.0, 0.0, 0.1], **fd),
+            MinkowskiSum(E2, Ball(0.5), **fd),
+            MinkowskiSum(E3, Ellipsoid.from_semiaxes(1.0, 2.0, 1.0, **fd)),
+        ]
+
+    @staticmethod
+    def _directions(dim):
+        # random and grid directions, the coordinate axes (superellipse
+        # flats) and, in 2D, the Reuleaux vertex sectors around +-e_2
+        axes = np.vstack([np.eye(dim), -np.eye(dim)])
+        return np.vstack([_units(dim, 24), sphere_directions(dim, 64), axes])
+
+    def test_rows_equal_curvature_bit_for_bit(self):
+        for body in self._bodies():
+            U = self._directions(body.dim)
+            data, singular = curvature_many(body, U)
+            for i, u in enumerate(U):
+                try:
+                    one = curvature(body, u)
+                except SingularCurvature:
+                    assert singular[i], (body, u)
+                    assert np.isnan(data.kappa[i])
+                    assert np.isnan(data.S[i]).all()
+                    continue
+                assert not singular[i], (body, u)
+                for name in ("u", "frame", "R", "S"):
+                    assert np.array_equal(getattr(data, name)[i],
+                                          getattr(one, name)), (body, u, name)
+                assert data.kappa[i] == one.kappa, (body, u)
+
+    def test_singular_mask(self):
+        # flat on the superellipse axes, zero radius in Reuleaux vertex
+        # sectors: those rows and only those are masked
+        cases = [(Superellipse2D(4.0), self._directions(2)),
+                 (ReuleauxTriangle2D(1.0), sphere_directions(2, 96))]
+        for body, U in cases:
+            _, singular = curvature_many(body, U)
+            raises = []
+            for u in U:
+                try:
+                    curvature(body, u)
+                    raises.append(False)
+                except SingularCurvature:
+                    raises.append(True)
+            assert 0 < singular.sum() < len(U)
+            assert singular.tolist() == raises
+
+    def test_rejects_bad_rows(self):
+        with pytest.raises(ValueError):
+            curvature_many(Ball(1.0), [[2.0, 0.0]])
+        with pytest.raises(ValueError):
+            curvature_many(Ball(1.0), [[1.0, 0.0, 0.0]])
+
+    def test_volume_quadrature_makes_no_per_node_call(self, monkeypatch):
+        calls, blocks = [], []
+        one, block = curvature, ConvexBody._tangent_block
+
+        def counting(body, u, frame=None):
+            calls.append(u)
+            return one(body, u, frame)
+
+        def counting_block(self, u, E):
+            blocks.append(self)
+            return block(self, u, E)
+
+        monkeypatch.setattr(measure, "curvature", counting, raising=False)
+        monkeypatch.setattr("kdense.bodies.curvature", counting)
+        monkeypatch.setattr(ConvexBody, "_tangent_block", counting_block)
+        for G in (Ellipsoid.from_semiaxes(1.5, 1.0, 0.8),
+                  FourierBody2D([1.0, 0.0, 0.0, 0.1])):
+            blocks.clear()
+            measure.volume_quadrature(G)
+            # one stacked block for the full grid and one for the half grid
+            assert blocks == [G, G]
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------

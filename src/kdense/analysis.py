@@ -98,12 +98,12 @@ def kdense_spread(G, K, r, m=64, n=measure.DEFAULT_QMC_POINTS,
         raise ValueError("need at least 8 boundary samples")
     U = sphere_directions(G.dim, m)
     X = boundary_points(G, U)
-    vols, errs = [], []
-    for x in X:
-        res = measure.intersection_volume(G, K, x, r, n=n,
-                                          replicates=replicates, seed=seed)
-        vols.append(res.value)
-        errs.append(res.stderr)
+    # one QMC pass over G's points serves all m copies x + rK
+    _, hits, box = measure._copy_counts(G, K, [(x, r) for x in X], n,
+                                        replicates, seed)
+    results = [measure._result(c, n, box) for c in hits.T]
+    vols = [res.value for res in results]
+    errs = [res.stderr for res in results]
     budget = 3.0 * np.sqrt(2.0) * max(errs) / np.mean(vols)
     return SpreadReport(f"overlap volume at r={r}", vols, budget,
                         extra={"stderr": errs, "r": r, "points": X})

@@ -13,8 +13,7 @@ import numpy as np
 from .analysis import touch_point
 from .bodies import curvature, tangent_frame
 from .errors import DegenerateFit, FlatContact
-from .measure import (OMEGA, deficit_volume, halfspace_cut_volume,
-                      intersection_volume)
+from .measure import OMEGA, halfspace_cut_volume
 from . import measure
 from .bodies import normal_at
 
@@ -80,15 +79,16 @@ def deficit_ladder(G, K, x, eps0=0.1, rungs=8, oracle=None,
     ``oracle`` maps eps to the exact deficit (used for disk/ball pairs so
     regression error is isolated from integration error).
     """
+    epss = [eps0 * 0.5 ** k for k in range(rungs)]
+    if oracle is not None:
+        return [(eps, float(oracle(eps)), 0.0) for eps in epss]
+    # one QMC pass over G's points serves every rung
+    inside, hits, box = measure._copy_counts(
+        G, K, [(x, 1.0 - eps) for eps in epss], n, replicates, seed)
     ladder = []
-    for k in range(rungs):
-        eps = eps0 * 0.5 ** k
-        if oracle is not None:
-            ladder.append((eps, float(oracle(eps)), 0.0))
-        else:
-            res = deficit_volume(G, K, x, 1.0 - eps, n=n,
-                                 replicates=replicates, seed=seed)
-            ladder.append((eps, res.value, res.stderr))
+    for eps, c in zip(epss, hits.T):
+        res = measure._result(inside - c, n, box)
+        ladder.append((eps, res.value, res.stderr))
     return ladder
 
 
@@ -197,15 +197,17 @@ def small_r_v0(G, K, x, r0=0.1, rungs=6, oracle=None,
     """
     x = np.asarray(x, dtype=float)
     N = G.dim
+    radii = [r0 * 0.5 ** k for k in range(rungs)]
+    if oracle is not None:
+        samples = [(float(oracle(r)), 0.0) for r in radii]
+    else:
+        # one QMC pass over G's points serves every rung
+        _, hits, box = measure._copy_counts(
+            G, K, [(x, r) for r in radii], n, replicates, seed)
+        results = [measure._result(c, n, box) for c in hits.T]
+        samples = [(res.value, res.stderr) for res in results]
     rs, ys, ws = [], [], []
-    for k in range(rungs):
-        r = r0 * 0.5 ** k
-        if oracle is not None:
-            v, s = float(oracle(r)), 0.0
-        else:
-            res = intersection_volume(G, K, x, r, n=n, replicates=replicates,
-                                      seed=seed)
-            v, s = res.value, res.stderr
+    for r, (v, s) in zip(radii, samples):
         if v <= s:
             raise DegenerateFit("overlap volume drowned by its error bar")
         rs.append(r)

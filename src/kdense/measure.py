@@ -2,17 +2,21 @@
 
 Two independent volume routes are provided: a spherical quadrature of the
 support integral (1/N) * integral of h * det R over the unit sphere, and
-quasi-Monte Carlo membership counting in a support-derived bounding box
-with randomized-shift replicates for the error bar.
+quasi-Monte Carlo membership counting in a support-derived bounding box,
+with independently scrambled replicates for the error bar.  The points are
+scrambled Sobol' points (LMS + digital shift, d <= 3) from ``kdense.qmc``,
+equal bit for bit to scipy's ``qmc.Sobol(d, scramble=True)``.  A sweep over
+copies x + rK of K that share one G scales the points into G's box and
+tests G's membership once per replicate, then counts each copy on the
+points inside G.
 """
 
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.stats import qmc
 
-from . import bodies
+from . import bodies, qmc
 from .bodies import curvature_many, sphere_directions
 from .errors import SingularCurvature
 
@@ -81,16 +85,18 @@ _SOBOL_CACHE_MAX = 32
 
 
 def _sobol(dim, n, seed, replicate):
-    # cached: sweeps over boundary points reuse the same streams, which
-    # both saves regeneration and correlates their integration errors
+    # cached: calls with the same size and seed reuse the same streams,
+    # which both saves regeneration and correlates their integration
+    # errors.  Every caller shares the array, so it is read-only.
     key = (dim, n, seed, replicate)
     hit = _SOBOL_CACHE.get(key)
     if hit is not None:
         return hit
     rng = np.random.default_rng([seed, replicate])
-    eng = qmc.Sobol(d=dim, scramble=True, seed=rng)
+    eng = qmc.Sobol(d=dim, seed=rng)
     m = int(np.log2(n))
     pts = eng.random_base2(m) if 2 ** m == n else eng.random(n)
+    pts.flags.writeable = False
     if len(_SOBOL_CACHE) >= _SOBOL_CACHE_MAX:
         _SOBOL_CACHE.pop(next(iter(_SOBOL_CACHE)))
     _SOBOL_CACHE[key] = pts
@@ -118,15 +124,28 @@ def gauge(body, v):
     return float(body.gauge_many(v[None, :], refine="all")[0])
 
 
-def _qmc_indicator(dim, box, predicate, n, replicates, seed):
+def _replicate_counts(box, count, n, replicates, seed):
+    """count(points) on each replicate's n Sobol points of the box, stacked.
+
+    ``count`` returns an integer or a list of them, one row per replicate.
+    """
     lo, hi = box
-    box_vol = float(np.prod(hi - lo))
 
     def one(rep):
-        pts = lo + _sobol(dim, n, seed, rep) * (hi - lo)
-        return float(np.mean(predicate(pts))) * box_vol
+        return count(lo + _sobol(len(lo), n, seed, rep) * (hi - lo))
 
-    means = np.array(_replicate_map(one, replicates))
+    return np.array(_replicate_map(one, replicates))
+
+
+def _result(counts, n, box):
+    """Volume estimate from per-replicate hit counts among n points of box.
+
+    count / n is the mean of the boolean indicator, bit for bit.
+    """
+    lo, hi = box
+    box_vol = float(np.prod(hi - lo))
+    means = np.array([c / n * box_vol for c in counts.tolist()])
+    replicates = len(means)
     value = float(np.mean(means))
     if replicates > 1:
         stderr = float(np.std(means, ddof=1) / np.sqrt(replicates))
@@ -135,9 +154,16 @@ def _qmc_indicator(dim, box, predicate, n, replicates, seed):
     return IntegrationResult(value, stderr, "qmc", n * replicates)
 
 
+def _qmc_indicator(box, predicate, n, replicates, seed):
+    counts = _replicate_counts(
+        box, lambda pts: int(np.count_nonzero(predicate(pts))), n,
+        replicates, seed)
+    return _result(counts, n, box)
+
+
 def volume_qmc(body, n=DEFAULT_QMC_POINTS, replicates=DEFAULT_REPLICATES, seed=0):
-    box = bounding_box(body)
-    return _qmc_indicator(body.dim, box, body.contains, n, replicates, seed)
+    return _qmc_indicator(bounding_box(body), body.contains, n, replicates,
+                          seed)
 
 
 def volume_quadrature(body, n=None):
@@ -194,16 +220,16 @@ def _where(keep, pts, test):
     return hit
 
 
-def _copy_membership(K, x, r):
+def _copy_membership(K, box, x, r):
     """Membership in x + rK that evaluates K's gauge only where it can matter.
 
-    A point outside K's padded support box has a coordinate beyond
-    h_K(+-e_i) + 0.005 * width_i, and width_i > h_K(+-e_i), so its gauge is
-    at least 1.005, far above 1 + MEMBERSHIP_TOL: it is outside.  Only the
-    points in the box reach ``K.contains``.  In 2D the result equals
-    ``K.contains((pts - x) / r)`` bit for bit: that test counts a point
-    inside only when its chord bound, which is at least its gauge, or its
-    converged gauge is at most 1 + MEMBERSHIP_TOL, never for a gauge of
+    ``box`` is K's ``bounding_box``.  A point outside it has a coordinate
+    beyond h_K(+-e_i) + 0.005 * width_i, and width_i > h_K(+-e_i), so its
+    gauge is at least 1.005, far above 1 + MEMBERSHIP_TOL: it is outside.
+    Only the points in the box reach ``K.contains``.  In 2D the result
+    equals ``K.contains((pts - x) / r)`` bit for bit: that test counts a
+    point inside only when its chord bound, which is at least its gauge, or
+    its converged gauge is at most 1 + MEMBERSHIP_TOL, never for a gauge of
     1.005 or more.  In 3D it does so wherever the coarse gauge is right to
     0.5%; where the coarse scan of a very eccentric K is worse, a skipped point
     that ``K.contains`` would wrongly count inside is counted outside.
@@ -211,7 +237,7 @@ def _copy_membership(K, x, r):
     if r <= 0:
         raise ValueError("dilation parameter r must be positive")
     x = np.asarray(x, dtype=float)
-    lo, hi = bounding_box(K)
+    lo, hi = box
 
     def member(pts):
         q = (pts - x) / r
@@ -223,38 +249,54 @@ def _copy_membership(K, x, r):
     return member
 
 
+def _copy_counts(G, K, copies, n, replicates, seed):
+    """QMC counts of G and of G intersected with each copy x + rK.
+
+    ``copies`` is a sequence of pairs (x, r).  Per replicate the Sobol
+    points are scaled into G's box and G's membership is tested once; each
+    copy then tests only the points inside G, through ``_copy_membership``.
+    Returns (inside, hits, box): inside[i] is the number of the n points of
+    replicate i inside G, hits[i, j] the number of those inside copy j as
+    well, and box is G's box.  The deficit count of copy j is
+    inside[i] - hits[i, j].  Both are the counts of the plain indicators
+    G(p) & K((p - x) / r) and G(p) & ~K((p - x) / r) over the same points
+    (see ``_copy_membership``).
+    """
+    Kbox = bounding_box(K)
+    members = [_copy_membership(K, Kbox, x, r) for x, r in copies]
+
+    def count(pts):
+        inner = pts.compress(G.contains(pts), axis=0)
+        return [len(inner)] + [int(np.count_nonzero(m(inner)))
+                               for m in members]
+
+    box = bounding_box(G)
+    counts = _replicate_counts(box, count, n, replicates, seed)
+    return counts[:, 0], counts[:, 1:], box
+
+
 def intersection_volume(G, K, x, r, n=DEFAULT_QMC_POINTS,
                         replicates=DEFAULT_REPLICATES, seed=0):
     """V(G intersected with x + rK), by qmc membership counting over G's box.
 
-    G's membership comes first.  K's gauge is evaluated only on the points
-    in G that fall in the padded support box of x + rK; outside that box
-    the gauge is at least 1.005 (see ``_copy_membership``), so the count is
-    that of the plain indicator G(p) & K((p - x) / r).
+    One copy of the sweep of ``_copy_counts``: G's membership comes first,
+    and K's gauge is evaluated only on the points in G that fall in the
+    padded support box of x + rK, so the count is that of the plain
+    indicator G(p) & K((p - x) / r).
     """
-    member = _copy_membership(K, x, r)
-
-    def pred(pts):
-        return _where(G.contains(pts), pts, member)
-
-    return _qmc_indicator(G.dim, bounding_box(G), pred, n, replicates, seed)
+    _, hits, box = _copy_counts(G, K, [(x, r)], n, replicates, seed)
+    return _result(hits[:, 0], n, box)
 
 
 def deficit_volume(G, K, x, r, n=DEFAULT_QMC_POINTS,
                    replicates=DEFAULT_REPLICATES, seed=0):
     """V(G \\ (x + rK)); estimated directly so the difference is not noisy.
 
-    As in ``intersection_volume``, K's gauge is evaluated only on the points
-    in G inside the padded support box of x + rK.  The points of G outside
-    it have gauge at least 1.005 and count as outside x + rK, exactly as in
-    the plain indicator G(p) & ~K((p - x) / r).
+    One copy of the sweep of ``_copy_counts``: the points of G not inside
+    x + rK, the count of the plain indicator G(p) & ~K((p - x) / r).
     """
-    member = _copy_membership(K, x, r)
-
-    def pred(pts):
-        return _where(G.contains(pts), pts, lambda p: ~member(p))
-
-    return _qmc_indicator(G.dim, bounding_box(G), pred, n, replicates, seed)
+    inside, hits, box = _copy_counts(G, K, [(x, r)], n, replicates, seed)
+    return _result(inside - hits[:, 0], n, box)
 
 
 def halfspace_cut_volume(K, n_dir, n=DEFAULT_QMC_POINTS,
@@ -270,7 +312,7 @@ def halfspace_cut_volume(K, n_dir, n=DEFAULT_QMC_POINTS,
     def pred(pts):
         return _where(pts @ u >= 0.0, pts, K.contains)
 
-    return _qmc_indicator(K.dim, bounding_box(K), pred, n, replicates, seed)
+    return _qmc_indicator(bounding_box(K), pred, n, replicates, seed)
 
 
 def circumscribed_ratio(G, K, x, samples=None):

@@ -1,17 +1,25 @@
 """Tests of volume estimation, gauges, cuts and circumscribed ratios."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.special import gamma
+from scipy.stats import qmc as scipy_qmc
+
+import kdense
+from kdense import qmc
+from kdense.analysis import kdense_spread
 
 from kdense.bodies import (Ball, ConvexBody, Dilate, Ellipsoid, MinkowskiSum,
                            Superellipse2D, Translate, boundary_points,
                            difference_body, sphere_directions)
 from kdense.errors import SingularCurvature
 from kdense.measure import (QuadratureGrid, bounding_box, circumscribed_ratio,
-                            _sobol, deficit_volume, gauge,
+                            _copy_counts, _sobol, deficit_volume, gauge,
                             halfspace_cut_volume, intersection_volume, volume,
                             volume_qmc, volume_quadrature)
 from kdense.oracles import disk_lens_area
@@ -92,6 +100,55 @@ class TestVolume:
         assert a.value == b.value
         c = volume_qmc(Ball(1.0), n=2 ** 13, replicates=4, seed=1)
         assert c.value != a.value
+
+
+class TestSobol:
+    """The in-house engine against scipy's, which it reproduces."""
+
+    @staticmethod
+    def _engines(d, seed, rep):
+        return (qmc.Sobol(d=d, seed=np.random.default_rng([seed, rep])),
+                scipy_qmc.Sobol(d, scramble=True,
+                                seed=np.random.default_rng([seed, rep])))
+
+    @pytest.mark.filterwarnings("ignore:The balance properties")
+    def test_bit_identical_to_scipy(self):
+        for d in (2, 3):
+            for seed in range(5):
+                for rep in range(3):
+                    for m in range(18):
+                        ours, ref = self._engines(d, seed, rep)
+                        assert np.array_equal(ours.random_base2(m),
+                                              ref.random_base2(m)), (d, seed,
+                                                                     rep, m)
+                    for n in (3, 1000):
+                        ours, ref = self._engines(d, seed, rep)
+                        assert np.array_equal(ours.random(n), ref.random(n))
+
+    @pytest.mark.filterwarnings("ignore:The balance properties")
+    def test_draws_continue_the_sequence(self):
+        ours, ref = self._engines(3, 1, 2)
+        for n in (1, 3, 4, 100, 7):
+            assert np.array_equal(ours.random(n), ref.random(n))
+
+    def test_dimension_limit(self):
+        with pytest.raises(ValueError):
+            qmc.Sobol(d=4, seed=np.random.default_rng([0, 0]))
+
+    def test_cached_points_are_read_only(self):
+        pts = _sobol(2, 2 ** 10, 0, 0)
+        assert _sobol(2, 2 ** 10, 0, 0) is pts
+        with pytest.raises(ValueError):
+            pts[0, 0] = 0.5
+
+    def test_import_does_not_load_scipy_stats(self):
+        src = os.path.dirname(os.path.dirname(kdense.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, kdense, kdense.cli; "
+             "print('scipy.stats' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestBoundingBox:
@@ -178,6 +235,39 @@ class TestPrunedPredicates:
                                           replicates=1, seed=0)
                     assert defi.value == self._plain(
                         G.dim, box, lambda P: G.contains(P) & ~in_copy(P))
+
+    def test_copy_sweep_counts(self):
+        # one pass for all copies: per replicate and copy, the counts of
+        # the plain indicators over the same points
+        for G, K in self._pairs():
+            lo, hi = bounding_box(G)
+            copies = [(x, r)
+                      for x in boundary_points(G, sphere_directions(G.dim, 3))
+                      for r in (0.1, 0.5, 0.99)]
+            inside, hits, box = _copy_counts(G, K, copies, self.N, 2, 0)
+            assert np.array_equal(box, (lo, hi))
+            for rep in range(2):
+                P = lo + _sobol(G.dim, self.N, 0, rep) * (hi - lo)
+                in_G = G.contains(P)
+                assert inside[rep] == np.count_nonzero(in_G)
+                for j, (x, r) in enumerate(copies):
+                    in_copy = K.contains((P - x) / r)
+                    assert hits[rep, j] == np.count_nonzero(in_G & in_copy)
+                    assert inside[rep] - hits[rep, j] == \
+                        np.count_nonzero(in_G & ~in_copy)
+
+    def test_spread_tests_g_once_per_replicate(self, monkeypatch):
+        G = Ellipsoid.from_semiaxes(2.0, 1.0)
+        K = difference_body(G)
+        calls = []
+
+        def counting(pts, _orig=G.contains):
+            calls.append(len(pts))
+            return _orig(pts)
+
+        monkeypatch.setattr(G, "contains", counting)
+        kdense_spread(G, K, 0.5, m=16, n=self.N, replicates=4, seed=0)
+        assert calls == [self.N] * 4
 
     def test_halfspace_cut(self):
         for _, K in self._pairs():

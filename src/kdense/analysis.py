@@ -13,9 +13,9 @@ import math
 import numpy as np
 
 from . import measure
-from .bodies import (MinkowskiSum, _curvature, _frame, as_direction,
-                     boundary_points, curvature_many, difference_body,
-                     normal_at, sphere_directions)
+from .bodies import (MinkowskiSum, _curvature, _frame, _grid_spacing,
+                     as_direction, boundary_points, curvature_many,
+                     difference_body, normal_at, sphere_directions)
 from .errors import NonUniqueContact
 
 
@@ -54,34 +54,27 @@ def touch_point(G, K, x, contact_tol=1e-6, samples=None):
     For strictly convex differentiable G and K the inscribed copy x + K
     touches G at exactly one boundary point xbar, characterized by the
     outward normal at xbar being the opposite of the one at x.  Raises
-    NonUniqueContact when the contact set spreads over an arc (corner or
-    flat contact), carrying the offending boundary samples.
+    NonUniqueContact when the normals within contact_tol of the top of the
+    scan of ``measure.circumscribed_ratio`` spread over an arc, carrying G's
+    boundary points at them; a lone touching vertex of G is unique contact.
     """
     x = np.asarray(x, dtype=float)
-    if samples is None:
-        samples = 512 if G.dim == 2 else 4096
-    U = sphere_directions(G.dim, samples)
-    P = boundary_points(G, U)
-    g = K.gauge_many(P - x, refine="all")
-    top = float(np.max(g))
-    hits = np.flatnonzero(g > top - contact_tol)
-    dirs = U[hits]
+    U, f = measure._support_ratio_scan(G, K, x, samples)
+    dirs = U[f > np.max(f) - contact_tol]
     # angular diameter of the contact directions
-    dots = np.clip(dirs @ dirs.T, -1.0, 1.0)
-    diam = float(np.max(np.arccos(dots)))
-    spacing = 2.0 * np.pi / samples if G.dim == 2 else 2.0 * np.sqrt(4.0 * np.pi / samples)
-    if diam > 8.0 * spacing:
+    diam = float(np.max(np.arccos(np.clip(dirs @ dirs.T, -1.0, 1.0))))
+    if diam > 8.0 * _grid_spacing(G.dim, len(U)):
         raise NonUniqueContact(
             f"contact set spans an angular diameter of {diam:.3f} rad",
-            contact_points=P[hits])
-    nu = normal_at(G, x)
-    u = -nu
+            contact_points=boundary_points(G, dirs))
+    u = -normal_at(G, x)
     xbar = boundary_points(G, u[None, :])[0]
     gk = measure.gauge(K, xbar - x)
     if abs(gk - 1.0) > contact_tol:
         raise NonUniqueContact(
             f"touch point fails the inscribed-copy condition "
-            f"(gauge_K(xbar - x) = {gk:.8f})", contact_points=P[hits])
+            f"(gauge_K(xbar - x) = {gk:.8f})",
+            contact_points=boundary_points(G, dirs))
     return xbar, u
 
 

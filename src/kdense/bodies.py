@@ -12,11 +12,11 @@ integral).  The Hessian is E R E' / |v|.  Bodies in finite-difference mode
 take the Hessian by central differences and project it, one direction at a
 time.  The Minkowski algebra (sums, dilations, translations, reflections)
 acts linearly on H and on the tangent block.  One sphere search for the
-largest support ratio serves gauges, normals and circumscribed ratios.  A 2D
-gauge is bracketed by the grid cell of its point's angle, from below by the
-outer polygon of the grid normals and from above by the chord between two
-boundary points, so membership is decided by those bounds and only the
-points they leave open are searched; 3D refines coarse gauges near 1.
+largest support ratio serves gauges, normals and circumscribed ratios, whose
+scan also screens touch points.  A 2D gauge is bracketed by the grid cell of
+its point's angle, from below by the outer polygon of the grid normals and
+from above by the chord between two boundary points; only the points those
+bounds leave undecided are searched, and 3D refines coarse gauges near 1.
 """
 
 import math
@@ -149,6 +149,11 @@ def sphere_directions(dim, n):
     return _fibonacci_sphere(n)
 
 
+def _grid_spacing(dim, n):
+    """Angular spacing of the n directions of ``sphere_directions``."""
+    return 2.0 * np.pi / n if dim == 2 else 2.0 * np.sqrt(4.0 * np.pi / n)
+
+
 # ---------------------------------------------------------------------------
 # the sphere search for max H_A / H_K: gauges, normals, circumscribed ratios
 
@@ -223,8 +228,8 @@ def _ascend_2d(K, A, U, n_grid):
     on Reuleaux vertex sectors, an infinite one on superellipse axes.
     """
     th = np.arctan2(U[:, 1], U[:, 0])
-    lo = th - 2.0 * np.pi / n_grid
-    hi = th + 2.0 * np.pi / n_grid
+    lo = th - _grid_spacing(2, n_grid)
+    hi = th + _grid_spacing(2, n_grid)
     dx = hi - lo
     dx_old = dx.copy()
     live = np.arange(len(th))
@@ -261,7 +266,7 @@ def _ascend_3d(K, A, U, n_grid):
     """
     U = U.copy()
     f = A.support_hom(U) / K.support_hom(U)
-    radius = np.full(len(U), 2.0 * np.sqrt(4.0 * np.pi / n_grid))
+    radius = np.full(len(U), _grid_spacing(3, n_grid))
     live = np.arange(len(U))
     for _ in range(SEARCH_MAX_STEPS):
         a, u = A.rows(live), U[live]
@@ -527,16 +532,15 @@ class ConvexBody:
         """Gauge values inf{t > 0 : v in tK} for each row of pts.
 
         A lower bound comes first: in 2D from the point's grid cell, which
-        also bounds the gauge from above (``_gauge_bracket``); in 3D from the
-        coarse scan.  ``refine='none'`` returns it, ``'all'`` refines every
-        point by the sphere search, and ``'auto'`` refines only what a
-        membership test needs: in 2D the points whose bounds do not decide
-        gauge <= 1 + MEMBERSHIP_TOL, in 3D the coarse gauges within
-        GAUGE_REFINE_MARGIN of 1.  The 2D upper bound is only as exact as
-        the grid boundary points (see ``_gauge_bracket``), so for a
-        finite-difference body a point counted inside can have a gauge a
-        little above 1 + MEMBERSHIP_TOL: 1.4e-10 relative above it on a
-        finite-difference ellipse.
+        also bounds the gauge from above (``_gauge_bracket``); in 3D from
+        the coarse scan.  ``refine='all'`` refines every point by the sphere
+        search, ``'auto'`` only what a membership test needs: in 2D the
+        points whose bounds do not decide gauge <= 1 + MEMBERSHIP_TOL, in 3D
+        the coarse gauges within GAUGE_REFINE_MARGIN of 1.  The 2D upper
+        bound is only as exact as the grid boundary points (see
+        ``_gauge_bracket``), so for a finite-difference body a point counted
+        inside can have a gauge a little above 1 + MEMBERSHIP_TOL: 1.4e-10
+        relative above it on a finite-difference ellipse.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.dim == 2:
@@ -547,8 +551,6 @@ class ConvexBody:
         else:
             g, idx = self._gauge_coarse(pts)
             undecided = np.abs(g - 1.0) < GAUGE_REFINE_MARGIN
-        if refine == "none":
-            return g
         mask = np.ones(len(pts), dtype=bool) if refine == "all" else undecided
         if mask.any():
             g[mask] = self._gauge_refine(pts[mask], idx[mask], g[mask])[0]
@@ -1248,16 +1250,13 @@ def _check_unique_support(body, u):
     U, _, _ = body._gauge_grid()
     P = boundary_points(body, U)
     vals = P @ u
-    top = float(np.max(vals))
     scale = max(1.0, float(np.max(np.abs(P))))
-    hits = P[vals > top - 1e-9 * scale]
+    hits = P[vals > np.max(vals) - 1e-9 * scale]
     if len(hits) > 1:
         # strictly convex points scatter the near-maximizers within a few
         # grid spacings; a flat face spreads them across its full length
-        spacing = 2.0 * np.pi / len(U) if body.dim == 2 else \
-            2.0 * np.sqrt(4.0 * np.pi / len(U))
         spread = np.max(np.linalg.norm(hits - hits[0], axis=1))
-        if spread > 8.0 * spacing * scale:
+        if spread > 8.0 * _grid_spacing(body.dim, len(U)) * scale:
             raise NonUniqueSupport(
                 f"support face in direction {u} is not a single point "
                 f"(spread {spread:.3e})", points=hits)

@@ -315,6 +315,16 @@ def halfspace_cut_volume(K, n_dir, n=DEFAULT_QMC_POINTS,
     return _qmc_indicator(bounding_box(K), pred, n, replicates, seed)
 
 
+def _support_ratio_scan(G, K, x, samples):
+    """Sphere directions U, ``samples`` of them (512 in 2D, 4096 in 3D), and
+    (H_G(u) - <x, u>) / H_K(u) on them: ``circumscribed_ratio`` refines its
+    argmax, ``analysis.touch_point`` screens contact by its top values."""
+    if samples is None:
+        samples = 512 if G.dim == 2 else 4096
+    U = sphere_directions(G.dim, samples)
+    return U, (G.support_hom(U) - U @ x) / K.support_hom(U)
+
+
 def circumscribed_ratio(G, K, x, samples=None):
     """Smallest t with G inside x + tK, by support-function duality.
 
@@ -325,11 +335,8 @@ def circumscribed_ratio(G, K, x, samples=None):
     vanishes at the normal of x, and a body holds the origin strictly inside.
     """
     x = np.asarray(x, dtype=float)
-    if samples is None:
-        samples = 512 if G.dim == 2 else 4096
-    U = sphere_directions(G.dim, samples)
-    f = (G.support_hom(U) - U @ x) / K.support_hom(U)
+    U, f = _support_ratio_scan(G, K, x, samples)
     i = np.argmax(f)
     A = bodies.SupportRows(-x[None, :], G)
-    g, _ = bodies.support_ratio_max(K, A, U[i:i + 1], f[i:i + 1], samples)
+    g, _ = bodies.support_ratio_max(K, A, U[i:i + 1], f[i:i + 1], len(U))
     return float(g[0])

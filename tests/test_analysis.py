@@ -66,6 +66,43 @@ class TestTouchPoint:
             touch_point(G, K, vertex)
         assert len(exc.value.contact_points) > 2
 
+    def test_reuleaux_arc_touches_the_opposite_vertex(self):
+        # the arc through x is centred at vertex 0, at distance w from x: the
+        # unit-radius copy x + K touches G only there, although the vertex
+        # carries an arc of normals
+        w = 1.0
+        G = ReuleauxTriangle2D(w)
+        K = difference_body(G)
+        v0 = np.array([0.0, w / math.sqrt(3.0)])
+        assert np.allclose(G.vertices[0], v0, rtol=0.0, atol=1e-15)
+        for nu in ([0.0, -1.0], [math.sin(0.3), -math.cos(0.3)]):
+            x = boundary_points(G, np.array([nu]))[0]
+            xbar, u = touch_point(G, K, x)
+            assert np.allclose(xbar, v0, rtol=0.0, atol=1e-9)
+            assert np.allclose(u, -(x - v0) / w, rtol=0.0, atol=1e-9)
+
+    def test_thin_ellipse_tip(self):
+        G = Ellipsoid.from_semiaxes(2.0, 0.1)
+        xbar, u = touch_point(G, difference_body(G), np.array([2.0, 0.0]))
+        assert np.allclose(xbar, [-2.0, 0.0], rtol=0.0, atol=1e-9)
+        assert np.allclose(u, [-1.0, 0.0], rtol=0.0, atol=1e-9)
+
+    def test_screen_solves_no_gauge(self, monkeypatch):
+        # the screen reads support ratios; the only gauge refined is the
+        # inscribed-copy check of xbar - x
+        G = Ellipsoid.from_semiaxes(2.0, 1.0)
+        K = difference_body(G)
+        rows = []
+
+        def counting(pts, idx, g0, _orig=K._gauge_refine):
+            rows.append(len(pts))
+            return _orig(pts, idx, g0)
+
+        monkeypatch.setattr(K, "_gauge_refine", counting)
+        x = boundary_points(G, sphere_directions(2, 3))[0]
+        touch_point(G, K, x)
+        assert rows == [1]
+
 
 class TestKdenseSpread:
     def test_ellipse_constant(self):

@@ -17,6 +17,8 @@ scan also screens touch points.  A 2D gauge is bracketed by the grid cell of
 its point's angle, from below by the outer polygon of the grid normals and
 from above by the chord between two boundary points; only the points those
 bounds leave undecided are searched, and 3D refines coarse gauges near 1.
+``contains_many`` bounds several point sets one by one and refines the
+points left open in all of them in one sphere search.
 """
 
 import math
@@ -307,6 +309,21 @@ def support_ratio_max(K, A, U, f0, n_grid):
     return np.maximum(f0, A.support_hom(u) / K.support_hom(u)), u
 
 
+def _check_refine(refine):
+    """Reject a gauge refinement mode other than 'auto' and 'all'."""
+    if refine not in ("auto", "all"):
+        raise ValueError(f"refine must be 'auto' or 'all', not {refine!r}")
+
+
+def _point_rows(pts):
+    return np.atleast_2d(np.asarray(pts, dtype=float))
+
+
+def _inside(g):
+    """Membership from gauges: points within the tolerance count inside."""
+    return g <= 1.0 + MEMBERSHIP_TOL
+
+
 def _angle_bucket(psi, n):
     """Index of the angle psi in [-pi, pi] among n equal buckets; monotone."""
     with np.errstate(invalid="ignore"):  # NaN angles land anywhere
@@ -536,25 +553,53 @@ class ConvexBody:
         the coarse scan.  ``refine='all'`` refines every point by the sphere
         search, ``'auto'`` only what a membership test needs: in 2D the
         points whose bounds do not decide gauge <= 1 + MEMBERSHIP_TOL, in 3D
-        the coarse gauges within GAUGE_REFINE_MARGIN of 1.  The 2D upper
-        bound is only as exact as the grid boundary points (see
-        ``_gauge_bracket``), so for a finite-difference body a point counted
-        inside can have a gauge a little above 1 + MEMBERSHIP_TOL: 1.4e-10
-        relative above it on a finite-difference ellipse.
+        the coarse gauges within GAUGE_REFINE_MARGIN of 1.  Any other mode
+        raises ValueError.  ``contains`` and ``contains_many`` share this
+        path (``_gauge_sets``).  The 2D upper bound is only as exact as the
+        grid boundary points (see ``_gauge_bracket``), so for a
+        finite-difference body a point counted inside can have a gauge a
+        little above 1 + MEMBERSHIP_TOL: 1.4e-10 relative above it on a
+        finite-difference ellipse.
         """
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return self._gauge_sets([pts], refine)[0]
+
+    def _gauge_bounds(self, pts):
+        """Lower bound of each row's gauge, the grid index of its normal,
+        and whether the row is open: whether ``refine='auto'`` refines it."""
         if self.dim == 2:
             g, idx, hi = self._gauge_bracket(pts)
             # a NaN upper bound decides nothing
-            undecided = (g <= 1.0 + MEMBERSHIP_TOL) & \
+            return g, idx, (g <= 1.0 + MEMBERSHIP_TOL) & \
                 ~(hi <= 1.0 + MEMBERSHIP_TOL)
-        else:
-            g, idx = self._gauge_coarse(pts)
-            undecided = np.abs(g - 1.0) < GAUGE_REFINE_MARGIN
-        mask = np.ones(len(pts), dtype=bool) if refine == "all" else undecided
-        if mask.any():
-            g[mask] = self._gauge_refine(pts[mask], idx[mask], g[mask])[0]
-        return g
+        g, idx = self._gauge_coarse(pts)
+        return g, idx, np.abs(g - 1.0) < GAUGE_REFINE_MARGIN
+
+    def _gauge_sets(self, point_sets, refine, keep=lambda g: g):
+        """``gauge_many`` of each set of points, or ``keep`` of it: bounds
+        set by set, then one sphere search for the rows to refine of all
+        sets.  Only ``keep`` of a set's gauges (a byte per row for the
+        membership verdicts) and its rows to refine outlive its bounds, so
+        an iterable of sets made on demand never holds them all.  The search
+        treats each row on its own, so a row's gauge does not depend on the
+        rows searched with it.
+        """
+        _check_refine(refine)
+        out, todo = [], []
+        for p in point_sets:
+            p = _point_rows(p)
+            g, idx, m = self._gauge_bounds(p)
+            m = np.arange(len(p)) if refine == "all" else np.flatnonzero(m)
+            out.append((keep(g), m))
+            if len(m):
+                todo.append((p[m], idx[m], g[m]))
+        if todo:
+            pts, idx, g0 = (np.concatenate(t) for t in zip(*todo))
+            g = keep(self._gauge_refine(pts, idx, g0)[0])
+            start = 0
+            for v, m in out:
+                v[m] = g[start:start + len(m)]
+                start += len(m)
+        return [v for v, _ in out]
 
     def _gauge_bracket(self, pts):
         """Certified bounds lo <= gauge <= hi of 2D points, from one cell each.
@@ -610,14 +655,19 @@ class ConvexBody:
     def gauge_argmax(self, v):
         """Gauge of a single vector together with the maximizing direction."""
         v = np.asarray(v, dtype=float)[None, :]
-        g0, idx = (self._gauge_bracket(v)[:2] if self.dim == 2
-                   else self._gauge_coarse(v))
+        g0, idx, _ = self._gauge_bounds(v)
         g, u = self._gauge_refine(v, idx, g0)
         return float(g[0]), u[0]
 
     def contains(self, pts):
         """Membership test; points within the gauge tolerance count inside."""
-        return self.gauge_many(pts) <= 1.0 + MEMBERSHIP_TOL
+        return self.contains_many([pts])[0]
+
+    def contains_many(self, point_sets):
+        """``contains`` of each of an iterable of point sets, one bool array
+        per set, equal to it bit for bit.  The points the bounds leave open
+        in every set share one sphere search."""
+        return self._gauge_sets(point_sets, "auto", _inside)
 
     # -- validation ---------------------------------------------------------
 
@@ -636,7 +686,19 @@ class ConvexBody:
 # ---------------------------------------------------------------------------
 # concrete kinds
 
-class Ball(ConvexBody):
+class _ClosedGauge(ConvexBody):
+    """A kind whose gauge has a closed form, ``_closed_gauge(pts)``: nothing
+    is refined, and ``contains_many`` answers each set on its own."""
+
+    def gauge_many(self, pts, refine="auto"):
+        _check_refine(refine)
+        return self._closed_gauge(_point_rows(pts))
+
+    def contains_many(self, point_sets):
+        return [_inside(self.gauge_many(p)) for p in point_sets]
+
+
+class Ball(_ClosedGauge):
     kind = "ball"
 
     def __init__(self, radius, center=None, dim=2, **kw):
@@ -662,8 +724,7 @@ class Ball(ConvexBody):
         r = self.radius
         return (r,) if self.dim == 2 else (r, 0.0, r)
 
-    def gauge_many(self, pts, refine="auto"):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    def _closed_gauge(self, pts):
         return _offset_quadric_gauge(pts, np.eye(self.dim) / self.radius ** 2,
                                      self.center)
 
@@ -692,7 +753,7 @@ def _offset_quadric_argmax(v, Qinv, center):
     return g, n / np.linalg.norm(n)
 
 
-class Ellipsoid(ConvexBody):
+class Ellipsoid(_ClosedGauge):
     """Ellipsoid {y : (y-c)' Q^{-1} (y-c) <= 1} with Q symmetric positive definite.
 
     The support function is h(u) = sqrt(u' Q u) + c . u.
@@ -763,8 +824,7 @@ class Ellipsoid(ConvexBody):
         return ((r11 * s2 - p1 * p1) / s3, (r12 * s2 - p1 * p2) / s3,
                 (r22 * s2 - p2 * p2) / s3)
 
-    def gauge_many(self, pts, refine="auto"):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    def _closed_gauge(self, pts):
         return _offset_quadric_gauge(pts, self.Qinv, self.center)
 
     def gauge_argmax(self, v):
@@ -860,7 +920,7 @@ class FourierBody2D(_Theta2DBody):
         return self._series(t, 2)
 
 
-class Superellipse2D(ConvexBody):
+class Superellipse2D(_ClosedGauge):
     """Unit ball of the p-norm in the plane, p > 2.
 
     The support function is the dual-norm closed form
@@ -900,8 +960,7 @@ class Superellipse2D(ConvexBody):
                 (x ** q + y ** q) ** (1.0 / q - 2.0)
         return (float(r[0]) if single else r,)
 
-    def gauge_many(self, pts, refine="auto"):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    def _closed_gauge(self, pts):
         return (np.abs(pts[:, 0]) ** self.p +
                 np.abs(pts[:, 1]) ** self.p) ** (1.0 / self.p)
 
@@ -911,7 +970,7 @@ class Superellipse2D(ConvexBody):
         return float(self.gauge_many(v)[0]), n / np.linalg.norm(n)
 
 
-class ReuleauxTriangle2D(_Theta2DBody):
+class ReuleauxTriangle2D(_ClosedGauge, _Theta2DBody):
     """Reuleaux triangle of constant width w, centroid at the origin.
 
     Intersection of the three disks of radius w centered at the vertices.
@@ -972,9 +1031,8 @@ class ReuleauxTriangle2D(_Theta2DBody):
         # radius of curvature h + h'' is w on arcs, 0 at vertex sectors
         return d2
 
-    def gauge_many(self, pts, refine="auto"):
+    def _closed_gauge(self, pts):
         # gauge of an intersection is the max of the member gauges
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
         Qinv = np.eye(2) / self.width ** 2
         return np.max([_offset_quadric_gauge(pts, Qinv, v) for v in self.vertices],
                       axis=0)
@@ -1029,6 +1087,10 @@ class Dilate(ConvexBody):
     def gauge_many(self, pts, refine="auto"):
         return self.body.gauge_many(np.asarray(pts, dtype=float) / self.factor, refine)
 
+    def contains_many(self, point_sets):
+        return self.body.contains_many(_point_rows(p) / self.factor
+                                       for p in point_sets)
+
     def gauge_argmax(self, v):
         return self.body.gauge_argmax(np.asarray(v, dtype=float) / self.factor)
 
@@ -1072,6 +1134,9 @@ class Reflect(ConvexBody):
 
     def gauge_many(self, pts, refine="auto"):
         return self.body.gauge_many(-np.asarray(pts, dtype=float), refine)
+
+    def contains_many(self, point_sets):
+        return self.body.contains_many(-_point_rows(p) for p in point_sets)
 
     def gauge_argmax(self, v):
         g, u = self.body.gauge_argmax(-np.asarray(v, dtype=float))

@@ -8,7 +8,8 @@ scrambled Sobol' points (LMS + digital shift, d <= 3) from ``kdense.qmc``,
 equal bit for bit to scipy's ``qmc.Sobol(d, scramble=True)``.  A sweep over
 copies x + rK of K that share one G scales the points into G's box and
 tests G's membership once per replicate, then counts each copy on the
-points inside G.
+points inside G: K's bounds decide each copy's points, and the points they
+leave open in every copy of the replicate share one sphere search.
 """
 
 import os
@@ -220,55 +221,47 @@ def _where(keep, pts, test):
     return hit
 
 
-def _copy_membership(K, box, x, r):
-    """Membership in x + rK that evaluates K's gauge only where it can matter.
-
-    ``box`` is K's ``bounding_box``.  A point outside it has a coordinate
-    beyond h_K(+-e_i) + 0.005 * width_i, and width_i > h_K(+-e_i), so its
-    gauge is at least 1.005, far above 1 + MEMBERSHIP_TOL: it is outside.
-    Only the points in the box reach ``K.contains``.  In 2D the result
-    equals ``K.contains((pts - x) / r)`` bit for bit: that test counts a
-    point inside only when its chord bound, which is at least its gauge, or
-    its converged gauge is at most 1 + MEMBERSHIP_TOL, never for a gauge of
-    1.005 or more.  In 3D it does so wherever the coarse gauge is right to
-    0.5%; where the coarse scan of a very eccentric K is worse, a skipped point
-    that ``K.contains`` would wrongly count inside is counted outside.
-    """
-    if r <= 0:
-        raise ValueError("dilation parameter r must be positive")
-    x = np.asarray(x, dtype=float)
-    lo, hi = box
-
-    def member(pts):
-        q = (pts - x) / r
-        near = (q[:, 0] >= lo[0]) & (q[:, 0] <= hi[0])
-        for i in range(1, K.dim):
-            near &= (q[:, i] >= lo[i]) & (q[:, i] <= hi[i])
-        return _where(near, q, K.contains)
-
-    return member
-
-
 def _copy_counts(G, K, copies, n, replicates, seed):
     """QMC counts of G and of G intersected with each copy x + rK.
 
     ``copies`` is a sequence of pairs (x, r).  Per replicate the Sobol
-    points are scaled into G's box and G's membership is tested once; each
-    copy then tests only the points inside G, through ``_copy_membership``.
+    points are scaled into G's box and G's membership is tested once.  Each
+    copy keeps the points inside G whose (p - x) / r lie in K's
+    ``bounding_box``, and one ``K.contains_many`` call tests the kept points
+    of every copy: the bounds of K's gauge decide each copy's points, and
+    the points they leave open in all copies share one sphere search.
     Returns (inside, hits, box): inside[i] is the number of the n points of
     replicate i inside G, hits[i, j] the number of those inside copy j as
     well, and box is G's box.  The deficit count of copy j is
-    inside[i] - hits[i, j].  Both are the counts of the plain indicators
-    G(p) & K((p - x) / r) and G(p) & ~K((p - x) / r) over the same points
-    (see ``_copy_membership``).
+    inside[i] - hits[i, j].
+
+    Both are the counts of the plain indicators G(p) & K((p - x) / r) and
+    G(p) & ~K((p - x) / r) over the same points.  A point outside K's box
+    has a coordinate beyond h_K(+-e_i) + 0.005 * width_i, and
+    width_i > h_K(+-e_i), so its gauge is at least 1.005, far above
+    1 + MEMBERSHIP_TOL: it is outside.  In 2D skipping it changes no count:
+    ``K.contains`` counts a point inside only when its chord bound, which
+    is at least its gauge, or its converged gauge is at most
+    1 + MEMBERSHIP_TOL, never for a gauge of 1.005 or more.  In 3D that
+    holds wherever the coarse gauge is right to 0.5%; where the coarse scan
+    of a very eccentric K is worse, a skipped point that ``K.contains``
+    would wrongly count inside is counted outside.
     """
-    Kbox = bounding_box(K)
-    members = [_copy_membership(K, Kbox, x, r) for x, r in copies]
+    lo, hi = bounding_box(K)
+    copies = [(np.asarray(x, dtype=float), r) for x, r in copies]
+    if any(r <= 0 for _, r in copies):
+        raise ValueError("dilation parameter r must be positive")
+
+    def near_box(q):
+        keep = (q[:, 0] >= lo[0]) & (q[:, 0] <= hi[0])
+        for i in range(1, K.dim):
+            keep &= (q[:, i] >= lo[i]) & (q[:, i] <= hi[i])
+        return q.compress(keep, axis=0)
 
     def count(pts):
         inner = pts.compress(G.contains(pts), axis=0)
-        return [len(inner)] + [int(np.count_nonzero(m(inner)))
-                               for m in members]
+        hits = K.contains_many(near_box((inner - x) / r) for x, r in copies)
+        return [len(inner)] + [int(np.count_nonzero(h)) for h in hits]
 
     box = bounding_box(G)
     counts = _replicate_counts(box, count, n, replicates, seed)

@@ -35,6 +35,19 @@ def _zoo():
     ]
 
 
+def _gauge_zoo():
+    """The zoo plus generic gauges (2D and 3D) and the forwarding kinds."""
+    E = Ellipsoid.from_semiaxes(2.0, 1.0)
+    return _zoo() + [
+        ReuleauxTriangle2D(1.0),
+        difference_body(E),
+        difference_body(Ellipsoid.from_semiaxes(1.5, 1.0, 0.8)),
+        Dilate(difference_body(E), 0.5),
+        Translate(difference_body(E), [0.3, -0.2]),
+        Reflect(Superellipse2D(4.0)),
+    ]
+
+
 def _units(dim, n=16):
     V = RNG.normal(size=(n, dim))
     return V / np.linalg.norm(V, axis=1, keepdims=True)
@@ -752,21 +765,87 @@ class TestGauge:
 
     def test_empty_input(self):
         # the pruned QMC predicates can hand a body no points at all
-        E = Ellipsoid.from_semiaxes(2.0, 1.0)
-        bodies = _zoo() + [
-            ReuleauxTriangle2D(1.0),
-            difference_body(E),
-            difference_body(Ellipsoid.from_semiaxes(1.5, 1.0, 0.8)),
-            Dilate(difference_body(E), 0.5),
-            Translate(difference_body(E), [0.3, -0.2]),
-            Reflect(Superellipse2D(4.0)),
-        ]
-        for body in bodies:
+        for body in _gauge_zoo():
             empty = np.empty((0, body.dim))
             for refine in ("auto", "all"):
                 assert body.gauge_many(empty, refine=refine).shape == (0,)
             inside = body.contains(empty)
             assert inside.shape == (0,) and inside.dtype == bool
+
+    def test_unknown_refine_raises(self):
+        # only 'auto' and 'all' exist; the removed 'none' must not act as
+        # 'auto' on any kind, closed-form, generic or forwarding
+        for body in _gauge_zoo():
+            pts = RNG.normal(size=(4, body.dim))
+            for refine in ("none", "ALL", None):
+                with pytest.raises(ValueError, match="refine"):
+                    body.gauge_many(pts, refine=refine)
+
+
+class TestContainsMany:
+    """contains_many bounds each set on its own and refines the open points
+    of all sets together; per set it must equal contains bit for bit."""
+
+    @staticmethod
+    def _bodies():
+        E = Ellipsoid.from_semiaxes(2.0, 1.0)
+        S = Superellipse2D(4.0)
+        return [
+            difference_body(E),
+            difference_body(S),
+            difference_body(Ellipsoid.from_semiaxes(1.5, 1.0, 0.8)),
+            FourierBody2D([1.0, 0.0, 0.1, 0.05], [0.0, 0.0, 0.03, 0.02],
+                          derivative_mode="finite-difference"),
+            Dilate(difference_body(S), 1.3),
+            Reflect(Translate(difference_body(E), [0.3, -0.2])),
+            E,
+        ]
+
+    @staticmethod
+    def _sets(K, rng):
+        """Sets near the boundary (many open points), an empty one, and
+        one deep inside and far outside (no open point)."""
+        X = boundary_points(K, sphere_directions(K.dim, 64))
+        near = [X * (1.0 + s * rng.normal(size=(len(X), 1)))
+                for s in (1e-3, 1e-6, 1e-10)]
+        decided = np.vstack([0.1 * X, 5.0 * X])
+        return near[:1] + [np.empty((0, K.dim)), decided] + near[1:]
+
+    def test_equals_contains(self):
+        rng = np.random.default_rng(21)
+        for K in self._bodies():
+            sets = self._sets(K, rng)
+            got = K.contains_many(sets)
+            assert len(got) == len(sets)
+            for g, P in zip(got, sets):
+                want = K.contains(P)
+                assert g.dtype == bool and g.shape == (len(P),)
+                assert np.array_equal(g, want), K
+
+    def test_empty_sets(self):
+        for K in self._bodies():
+            assert K.contains_many([]) == []
+            got = K.contains_many([np.empty((0, K.dim))] * 3)
+            assert [g.shape for g in got] == [(0,)] * 3
+            assert all(g.dtype == bool for g in got)
+
+    def test_one_search_for_all_sets(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        for K in (difference_body(Superellipse2D(4.0)),
+                  difference_body(Ellipsoid.from_semiaxes(1.5, 1.0, 0.8))):
+            sets = self._sets(K, rng)
+            open_rows = sum(int(np.count_nonzero(K._gauge_bounds(P)[2]))
+                            for P in sets)
+            assert not K._gauge_bounds(sets[2])[2].any()
+            rows = []
+
+            def counting(pts, idx, g0, _orig=K._gauge_refine):
+                rows.append(len(pts))
+                return _orig(pts, idx, g0)
+
+            monkeypatch.setattr(K, "_gauge_refine", counting)
+            K.contains_many(sets)
+            assert rows == [open_rows] and open_rows > 0
 
 
 def _rotation(t):

@@ -213,7 +213,9 @@ class TestPrunedPredicates:
                 (S, difference_body(S)),
                 (E3, difference_body(E3)),
                 # off-centre K: its support box is asymmetric about 0
-                (E, Translate(difference_body(E), [0.6, -0.3]))]
+                (E, Translate(difference_body(E), [0.6, -0.3])),
+                # a forwarding kind: Dilate hands its points to its body
+                (S, Dilate(difference_body(S), 1.3))]
 
     def _plain(self, dim, box, indicator):
         lo, hi = box
@@ -268,6 +270,21 @@ class TestPrunedPredicates:
         monkeypatch.setattr(G, "contains", counting)
         kdense_spread(G, K, 0.5, m=16, n=self.N, replicates=4, seed=0)
         assert calls == [self.N] * 4
+
+    def test_spread_refines_once_per_replicate(self, monkeypatch):
+        # the points that K's bounds leave open in all 16 copies share one
+        # sphere search per replicate
+        G = Superellipse2D(4.0)
+        K = difference_body(G)
+        rows = []
+
+        def counting(pts, idx, g0, _orig=K._gauge_refine):
+            rows.append(len(pts))
+            return _orig(pts, idx, g0)
+
+        monkeypatch.setattr(K, "_gauge_refine", counting)
+        kdense_spread(G, K, 0.5, m=16, n=self.N, replicates=4, seed=0)
+        assert len(rows) == 4 and sum(rows) == 28
 
     def test_halfspace_cut(self):
         for _, K in self._pairs():

@@ -9,13 +9,14 @@ curvature-support power identity that pins down ellipsoids.
 """
 
 import math
+import operator
 
 import numpy as np
 
 from . import measure
-from .bodies import (MinkowskiSum, _curvature, _frame, _grid_spacing,
-                     as_direction, boundary_points, curvature_many,
-                     difference_body, normal_at, sphere_directions)
+from .bodies import (_block_sum, _curvature, _frame, _grid_spacing, _unit,
+                     boundary_points, curvature_many, difference_body,
+                     normal_at, sphere_directions)
 from .errors import NonUniqueContact
 
 
@@ -127,13 +128,13 @@ def petty_check(G, m=256):
 
 def _direction(u, dim):
     """u validated and normalized once, as floats, and its tangent frame."""
-    u = tuple(as_direction(u, dim).tolist())
+    u = _unit(u, dim)
     return u, _frame(u)
 
 
-def _shape(body, u, E):
-    """Entries of the shape operator S at u in the frame E (floats)."""
-    return _curvature(body, u, E)[1]
+def _shape(R, u):
+    """Entries of the shape operator S of the tangent block R at u."""
+    return _curvature(R, u)[1]
 
 
 def _full(S):
@@ -143,7 +144,7 @@ def _full(S):
 
 def _frobenius_gap(P, Q):
     """Frobenius norm of P - Q, both given by row-major entries."""
-    return math.hypot(*(p - q for p, q in zip(P, Q)))
+    return math.hypot(*map(operator.sub, P, Q))
 
 
 def krantz_parks_check(A, B, u):
@@ -151,11 +152,16 @@ def krantz_parks_check(A, B, u):
 
     Compares S_{A+B} with [I + S_A^{-1} S_B]^{-1} S_B in the shared frame
     of u; algebraically this is additivity of the reverse Weingarten maps.
+    Each summand's tangent block is evaluated once: the sum's is R_A + R_B,
+    entry by entry, as ``MinkowskiSum`` forms it.  SingularCurvature is
+    raised for A, B and A + B in that order.
     """
     u, F = _direction(u, A.dim)
-    S_A = _shape(A, u, F)
-    S_B = _shape(B, u, F)
-    S_AB = _shape(MinkowskiSum(A, B), u, F)
+    R_A = A._tangent_block(u, F)
+    S_A = _shape(R_A, u)
+    R_B = B._tangent_block(u, F)
+    S_B = _shape(R_B, u)
+    S_AB = _shape(_block_sum(R_A, R_B), u)
     return _frobenius_gap(_full(S_AB), _harmonic_compose(S_A, S_B))
 
 
@@ -196,11 +202,12 @@ def kp1_check(G, u, K=None):
     if K is None:
         K = difference_body(G)
     u, F = _direction(u, G.dim)
-    S_K = _shape(K, u, F)
-    S_Gu = _shape(G, u, F)
-    S_Gmu = _shape(G, tuple(-c for c in u), F)
+    mu = tuple(map(operator.neg, u))
+    S_K = _shape(K._tangent_block(u, F), u)
+    S_Gu = _shape(G._tangent_block(u, F), u)
+    S_Gmu = _shape(G._tangent_block(mu, F), mu)
     rhs = _harmonic_compose(S_Gu, S_Gmu)
-    if not _is_positive_definite([g - k for g, k in zip(S_Gu, S_K)]):
+    if not _is_positive_definite(tuple(map(operator.sub, S_Gu, S_K))):
         raise ValueError("S_G(u) - S_K(u) is not positive definite")
     return _frobenius_gap(_full(S_K), rhs)
 

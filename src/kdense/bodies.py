@@ -22,6 +22,7 @@ points left open in all of them in one sphere search.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -44,8 +45,11 @@ GAUGE_REFINE_MARGIN = 0.02
 # ---------------------------------------------------------------------------
 # directions and tangent frames
 
-def as_direction(u, dim=None):
-    """Validate and return a unit direction vector."""
+def _unit(u, dim=None):
+    """Validate a unit direction and return it normalized, as a tuple of
+    floats.  The norm is numpy's dot ``u @ u`` (a Python sum of squares
+    can differ from it in the last bit), and each component is divided by
+    it only when it is not exactly 1, as the division would return it."""
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.shape[0] not in (2, 3):
         raise ValueError("direction must be a 2- or 3-vector")
@@ -54,7 +58,13 @@ def as_direction(u, dim=None):
     n = math.sqrt(u @ u)
     if abs(n - 1.0) > 1e-9:
         raise ValueError(f"direction is not unit (|u| = {n})")
-    return u / n
+    c = u.tolist()
+    return tuple(c) if n == 1.0 else tuple([x / n for x in c])
+
+
+def as_direction(u, dim=None):
+    """Validate and return a unit direction vector."""
+    return np.array(_unit(u, dim))
 
 
 def _as_directions(U, dim):
@@ -71,16 +81,24 @@ def _as_directions(U, dim):
 
 
 def _frame(u):
-    """The columns of ``tangent_frame(u)`` as tuples of floats."""
+    """The columns of ``tangent_frame(u)`` as tuples of floats.
+
+    In 3D, e1 = a - <a, u> u for the first axis a least aligned with u,
+    the pick of ``_frames_many``'s argmin on ties, written out per axis:
+    e.g. for a = e_x, e1 = (1 - x x, -x y, -x z).
+    """
     if len(u) == 2:
         return ((-u[1], u[0]),)
-    a = [abs(c) for c in u]
-    k = a.index(min(a))
-    e1 = [-u[k] * c for c in u]
-    e1[k] += 1.0
-    n = math.sqrt(e1[0] * e1[0] + e1[1] * e1[1] + e1[2] * e1[2])
-    x1, y1, z1 = (c / n for c in e1)
     x, y, z = u
+    ax, ay, az = abs(x), abs(y), abs(z)
+    if ax <= ay and ax <= az:
+        x1, y1, z1 = 1.0 - x * x, -x * y, -x * z
+    elif ay <= az:
+        x1, y1, z1 = -y * x, 1.0 - y * y, -y * z
+    else:
+        x1, y1, z1 = -z * x, -z * y, 1.0 - z * z
+    n = math.sqrt(x1 * x1 + y1 * y1 + z1 * z1)
+    x1, y1, z1 = x1 / n, y1 / n, z1 / n
     return ((x1, y1, z1), (y * z1 - z * y1, z * x1 - x * z1, x * y1 - y * x1))
 
 
@@ -501,12 +519,14 @@ class ConvexBody:
         Returns the polar angles phi of the X_i in increasing order from -pi
         (where several grid normals share a vertex, rounding can make them
         drop by an ulp; they are made non-decreasing), the cells that start
-        at them, W, whose row i is the outward normal of the chord X_i X_{i+1}
-        over its offset, and the bucket table of ``_gauge_cell``.  A vertex
-        cell has zero width and a NaN row in W; the lookup never picks it.
+        at them, the columns that ``_gauge_bracket`` reads per cell i, and
+        the bucket table of ``_gauge_cell``.  The columns, each contiguous,
+        are the x and y of u_i / H(u_i), of u_{i+1} / H(u_{i+1}), and of W_i,
+        the outward normal of the chord X_i X_{i+1} over its offset.  A
+        vertex cell has zero width and a NaN W_i; the lookup never picks it.
         """
         if self._cell_cache is None:
-            U, _, _ = self._gauge_grid()
+            U, _, Uh = self._gauge_grid()
             X = self.gradient_hom(U)
             phi = np.arctan2(X[:, 1], X[:, 0])
             # start at the first boundary point past the angle pi
@@ -524,7 +544,10 @@ class ConvexBody:
             start = np.searchsorted(bucket, np.arange(nb)) - 1
             table = (start, np.append(phi, np.inf)[start + 1],
                      np.bincount(bucket, minlength=nb) > 1)
-            self._cell_cache = (phi, order, W, table)
+            ux, uy = np.ascontiguousarray(Uh.T)
+            wx, wy = np.ascontiguousarray(W.T)
+            cols = (ux, uy, np.roll(ux, -1), np.roll(uy, -1), wx, wy)
+            self._cell_cache = (phi, order, cols, table)
         return self._cell_cache
 
     def _gauge_cell(self, x, y):
@@ -616,15 +639,14 @@ class ConvexBody:
         gradient: on a finite-difference (2, 1) ellipse the exact gauge
         exceeded hi by up to 1.4e-10 relative, below MEMBERSHIP_TOL.
         """
-        U, _, Uh = self._gauge_grid()
-        W = self._gauge_cells()[2]
+        ux, uy, vx, vy, wx, wy = self._gauge_cells()[2]
         x, y = pts[:, 0], pts[:, 1]
         i = self._gauge_cell(x, y)
-        j = (i + 1) % len(U)
-        gi = x * Uh[i, 0] + y * Uh[i, 1]
-        gj = x * Uh[j, 0] + y * Uh[j, 1]
-        return (np.maximum(gi, gj), np.where(gj > gi, j, i),
-                x * W[i, 0] + y * W[i, 1])
+        gi = x * ux.take(i) + y * uy.take(i)
+        gj = x * vx.take(i) + y * vy.take(i)
+        idx = i + (gj > gi)
+        idx[idx == len(ux)] = 0
+        return np.maximum(gi, gj), idx, x * wx.take(i) + y * wy.take(i)
 
     def _gauge_coarse(self, pts):
         """Largest 3D grid ratio <p, u> / H(u) per row, and its grid index.
@@ -1041,6 +1063,11 @@ class ReuleauxTriangle2D(_ClosedGauge, _Theta2DBody):
 # ---------------------------------------------------------------------------
 # combinators
 
+def _block_sum(A, B):
+    """Entries of the tangent block of a Minkowski sum: R_A + R_B."""
+    return tuple(map(operator.add, A, B))
+
+
 class MinkowskiSum(ConvexBody):
     kind = "minkowski_sum"
 
@@ -1059,9 +1086,8 @@ class MinkowskiSum(ConvexBody):
         return self.left.gradient_hom(V) + self.right.gradient_hom(V)
 
     def _tangent_block_impl(self, u, E):
-        A = self.left._tangent_block(u, E)
-        B = self.right._tangent_block(u, E)
-        return tuple(a + b for a, b in zip(A, B))
+        return _block_sum(self.left._tangent_block(u, E),
+                          self.right._tangent_block(u, E))
 
 
 class Dilate(ConvexBody):
@@ -1130,7 +1156,7 @@ class Reflect(ConvexBody):
         return -self.body.gradient_hom(-V)
 
     def _tangent_block_impl(self, u, E):
-        return self.body._tangent_block(tuple(-c for c in u), E)
+        return self.body._tangent_block(tuple(map(operator.neg, u)), E)
 
     def gauge_many(self, pts, refine="auto"):
         return self.body.gauge_many(-np.asarray(pts, dtype=float), refine)
@@ -1191,10 +1217,10 @@ def _degenerate(R, det_r):
     largest entry exactly when it is below that product for some entry;
     tested entry by entry, the same expression serves floats and arrays.
     """
-    flat = det_r < 1e-12
+    flat, one = det_r < 1e-12, len(R) == 1
     for r in R:
         a = abs(r)
-        flat = flat | (det_r < 1e-12 * (a if len(R) == 1 else a * a))
+        flat = flat | (det_r < 1e-12 * (a if one else a * a))
     return flat
 
 
@@ -1204,14 +1230,11 @@ def _block_matrix(R):
     return M if M.ndim == 2 else np.moveaxis(M, -1, 0)
 
 
-def _curvature(body, u, E):
-    """Entries of R and S = R^-1, and kappa = det S, at one direction.
-
-    u and E are tuples of floats: the unit direction and the columns of an
-    orthonormal frame of the plane orthogonal to it.  Raises
+def _curvature(R, u):
+    """Entries of R and S = R^-1, and kappa = det S, from the entries R of
+    a tangent block at the direction u (a tuple of floats).  Raises
     SingularCurvature where the data is degenerate (see ``curvature``).
     """
-    R = body._tangent_block(u, E)
     if not all(map(math.isfinite, R)):
         raise SingularCurvature(f"support Hessian not finite at u={u}",
                                 direction=np.array(u))
@@ -1230,7 +1253,7 @@ def reverse_weingarten(body, u, frame=None):
     orthogonal to u (the frame of -u is allowed, which lets antipodal
     curvatures share a basis); any other frame raises ValueError.
     """
-    u = tuple(as_direction(u, body.dim).tolist())
+    u = _unit(u, body.dim)
     E = _frame(u) if frame is None else _frame_columns(frame, u)
     return _block_matrix(body._tangent_block(u, E)), _frame_matrix(E)
 
@@ -1244,11 +1267,10 @@ def curvature(body, u, frame=None):
     two dimensions, so the determinant and inverse are closed forms on the
     body's tangent block; the frame is as in ``reverse_weingarten``.
     """
-    u = as_direction(u, body.dim)
-    c = tuple(u.tolist())
-    E = _frame(c) if frame is None else _frame_columns(frame, c)
-    R, S, kappa = _curvature(body, c, E)
-    return CurvatureData(u, _frame_matrix(E), _block_matrix(R),
+    u = _unit(u, body.dim)
+    E = _frame(u) if frame is None else _frame_columns(frame, u)
+    R, S, kappa = _curvature(body._tangent_block(u, E), u)
+    return CurvatureData(np.array(u), _frame_matrix(E), _block_matrix(R),
                          _block_matrix(S), kappa)
 
 

@@ -13,7 +13,7 @@ from kdense.analysis import (SpreadReport, _harmonic_compose,
 from kdense.bodies import (Ball, Ellipsoid, FourierBody2D, ReuleauxTriangle2D,
                            Superellipse2D, boundary_points, curvature,
                            difference_body, sphere_directions, tangent_frame)
-from kdense.errors import NonUniqueContact
+from kdense.errors import NonUniqueContact, SingularCurvature
 
 FAST = dict(n=2 ** 13, replicates=4, seed=0)
 RNG = np.random.default_rng(11)
@@ -191,6 +191,48 @@ class TestShapeOperatorIdentities:
                     S_A[np.triu_indices(2)], S_B[np.triu_indices(2)]), (2, 2))
                 assert np.abs(composed - harmonic).max() < 1e-12
                 assert np.abs(left - harmonic).max() > 1e-6
+
+    def test_each_block_evaluated_once(self, monkeypatch):
+        # the sum identity evaluates A and B once and adds their blocks;
+        # kp1 evaluates K's two summands, then G at u and at -u
+        calls = []
+        block = Ellipsoid._tangent_block_impl
+
+        def counting(self, u, E):
+            calls.append(self)
+            return block(self, u, E)
+
+        monkeypatch.setattr(Ellipsoid, "_tangent_block_impl", counting)
+        rng = np.random.default_rng(5)
+        for dim in (2, 3):
+            A, B = _random_ellipsoid(rng, dim), _random_ellipsoid(rng, dim)
+            K = difference_body(A)
+            for u in sphere_directions(dim, 4):
+                calls.clear()
+                krantz_parks_check(A, B, u)
+                assert calls == [A, B]
+                calls.clear()
+                kp1_check(A, u, K=K)
+                assert calls == [A] * 4
+
+    def test_singular_and_invalid_inputs_raise(self):
+        # cli.run_identities reports a SingularCurvature as a skipped row
+        with pytest.raises(SingularCurvature):
+            krantz_parks_check(Superellipse2D(4.0), Ball(1.0), [1.0, 0.0])
+        for G in (Ellipsoid.from_semiaxes(2.0, 1.0),
+                  Ellipsoid.from_semiaxes(1.5, 1.0, 0.8)):
+            u = sphere_directions(G.dim, 4)[1]
+            # S_G - S_K = 0 is not positive definite
+            with pytest.raises(ValueError, match="positive definite"):
+                kp1_check(G, u, K=G)
+            bad = [(2.0 * u, "not unit"),
+                   (np.append(u, 0.0) if G.dim == 2 else u[:2], "dimension"),
+                   (u[None, :], "2- or 3-vector")]
+            for v, message in bad:
+                with pytest.raises(ValueError, match=message):
+                    krantz_parks_check(G, Ball(1.0, dim=G.dim), v)
+                with pytest.raises(ValueError, match=message):
+                    kp1_check(G, v)
 
 
 class TestSymmetry:

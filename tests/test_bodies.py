@@ -615,9 +615,16 @@ class TestCurvatureMany:
     @staticmethod
     def _directions(dim):
         # random and grid directions, the coordinate axes (superellipse
-        # flats) and, in 2D, the Reuleaux vertex sectors around +-e_2
+        # flats) and, in 2D, the Reuleaux vertex sectors around +-e_2; in
+        # 3D also directions whose least aligned axis ties with another
         axes = np.vstack([np.eye(dim), -np.eye(dim)])
-        return np.vstack([_units(dim, 24), sphere_directions(dim, 64), axes])
+        U = [_units(dim, 24), sphere_directions(dim, 64), axes]
+        if dim == 3:
+            ties = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0],
+                             [2.0, 1.0, 1.0], [1.0, 2.0, 1.0]])
+            ties /= np.linalg.norm(ties, axis=1, keepdims=True)
+            U += [ties, -ties]
+        return np.vstack(U)
 
     def test_rows_equal_curvature_bit_for_bit(self):
         for body in self._bodies():
@@ -636,6 +643,11 @@ class TestCurvatureMany:
                     assert np.array_equal(getattr(data, name)[i],
                                           getattr(one, name)), (body, u, name)
                 assert data.kappa[i] == one.kappa, (body, u)
+
+    def test_axis_frame_closed_form(self):
+        # e_3's least aligned axes tie; the first, e_1, starts the frame
+        assert np.array_equal(tangent_frame([0.0, 0.0, 1.0]),
+                              [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
     def test_singular_mask(self):
         # flat on the superellipse axes, zero radius in Reuleaux vertex

@@ -14,9 +14,9 @@ import operator
 import numpy as np
 
 from . import measure
-from .bodies import (_block_sum, _curvature, _frame, _grid_spacing, _unit,
-                     boundary_points, curvature_many, difference_body,
-                     normal_at, sphere_directions)
+from .bodies import (_as_directions, _block_sum, _curvature, _frame,
+                     _grid_spacing, _unit, boundary_points, curvature_many,
+                     difference_body, normal_at, sphere_directions)
 from .errors import NonUniqueContact
 
 
@@ -59,6 +59,11 @@ def touch_point(G, K, x, contact_tol=1e-6, samples=None):
     scan of ``measure.circumscribed_ratio`` spread over an arc, carrying G's
     boundary points at them; a lone touching vertex of G is unique contact.
     """
+    return _touch(G, K, x, contact_tol, samples)[:2]
+
+
+def _touch(G, K, x, contact_tol=1e-6, samples=None):
+    """``touch_point``'s (xbar, u) and the gauge_K(xbar - x) it checked."""
     x = np.asarray(x, dtype=float)
     U, f = measure._support_ratio_scan(G, K, x, samples)
     dirs = U[f > np.max(f) - contact_tol]
@@ -76,7 +81,7 @@ def touch_point(G, K, x, contact_tol=1e-6, samples=None):
             f"touch point fails the inscribed-copy condition "
             f"(gauge_K(xbar - x) = {gk:.8f})",
             contact_points=boundary_points(G, dirs))
-    return xbar, u
+    return xbar, u, gk
 
 
 def kdense_spread(G, K, r, m=64, n=measure.DEFAULT_QMC_POINTS,
@@ -264,16 +269,21 @@ def halfvolume_condition_check(G, K, m=16, n=measure.DEFAULT_QMC_POINTS,
     """Spread of V({y in K : y . nu >= 0}) / V(K) over boundary normals of G.
 
     The half-volume cut condition demands the ratio be 1/2 for every
-    boundary normal; the error budget comes from the qmc error bars.
+    boundary normal; the error budget comes from the qmc error bars.  One
+    membership test of K per replicate serves V(K) and every cut, with the
+    counts of ``measure.volume_qmc`` and ``measure.halfspace_cut_volume``.
     """
-    U = sphere_directions(G.dim, m)
-    vk = measure.volume_qmc(K, n=n, replicates=replicates, seed=seed)
-    vals, errs = [], []
-    for u in U:
-        res = measure.halfspace_cut_volume(K, u, n=n, replicates=replicates,
-                                           seed=seed)
-        vals.append(res.value / vk.value)
-        errs.append(res.stderr / vk.value)
+    U = _as_directions(sphere_directions(G.dim, m), K.dim)
+
+    def cuts(P):
+        # one matrix-vector product per normal, as halfspace_cut_volume
+        # takes it: a stacked product rounds differently on the cut plane
+        return [int(np.count_nonzero(P @ u >= 0.0)) for u in U]
+
+    inside, hits, box = measure._qmc_pass(K, n, replicates, seed, columns=cuts)
+    vk, *results = [measure._result(c, n, box) for c in (inside, *hits.T)]
+    vals = [res.value / vk.value for res in results]
+    errs = [res.stderr / vk.value for res in results]
     budget = 3.0 * (np.sqrt(2.0) * max(errs) + vk.stderr / vk.value)
     return SpreadReport("half-space cut fraction", vals, budget,
                         extra={"stderr": errs, "volume": vk})

@@ -56,7 +56,7 @@ def _unit(u, dim=None):
     if dim is not None and u.shape[0] != dim:
         raise ValueError(f"direction has dimension {u.shape[0]}, expected {dim}")
     n = math.sqrt(u @ u)
-    if abs(n - 1.0) > 1e-9:
+    if not abs(n - 1.0) <= 1e-9:  # a NaN norm fails too
         raise ValueError(f"direction is not unit (|u| = {n})")
     c = u.tolist()
     return tuple(c) if n == 1.0 else tuple([x / n for x in c])
@@ -75,7 +75,7 @@ def _as_directions(U, dim):
     if U.ndim != 2 or U.shape[1] != dim:
         raise ValueError(f"directions must be the rows of an (n, {dim}) array")
     n = np.sqrt((U[:, None, :] @ U[:, :, None])[:, 0, 0])
-    if np.any(np.abs(n - 1.0) > 1e-9):
+    if not np.all(np.abs(n - 1.0) <= 1e-9):  # a NaN norm fails too
         raise ValueError("directions are not unit")
     return U / n[:, None]
 

@@ -5,11 +5,11 @@ support integral (1/N) * integral of h * det R over the unit sphere, and
 quasi-Monte Carlo membership counting in a support-derived bounding box,
 with independently scrambled replicates for the error bar.  The points are
 scrambled Sobol' points (LMS + digital shift, d <= 3) from ``kdense.qmc``,
-equal bit for bit to scipy's ``qmc.Sobol(d, scramble=True)``.  A sweep over
-copies x + rK of K that share one G scales the points into G's box and
-tests G's membership once per replicate, then counts each copy on the
-points inside G: K's bounds decide each copy's points, and the points they
-leave open in every copy of the replicate share one sphere search.
+equal bit for bit to scipy's ``qmc.Sobol(d, scramble=True)``.  Each QMC
+route is one pass, ``_qmc_pass``, that tests a body's membership once per
+replicate and counts columns on the points inside; a sweep over copies
+x + rK sharing one G counts each copy on the points inside G, and the
+points K's bounds leave open in every copy share one sphere search.
 """
 
 import os
@@ -125,19 +125,6 @@ def gauge(body, v):
     return float(body.gauge_many(v[None, :], refine="all")[0])
 
 
-def _replicate_counts(box, count, n, replicates, seed):
-    """count(points) on each replicate's n Sobol points of the box, stacked.
-
-    ``count`` returns an integer or a list of them, one row per replicate.
-    """
-    lo, hi = box
-
-    def one(rep):
-        return count(lo + _sobol(len(lo), n, seed, rep) * (hi - lo))
-
-    return np.array(_replicate_map(one, replicates))
-
-
 def _result(counts, n, box):
     """Volume estimate from per-replicate hit counts among n points of box.
 
@@ -155,16 +142,31 @@ def _result(counts, n, box):
     return IntegrationResult(value, stderr, "qmc", n * replicates)
 
 
-def _qmc_indicator(box, predicate, n, replicates, seed):
-    counts = _replicate_counts(
-        box, lambda pts: int(np.count_nonzero(predicate(pts))), n,
-        replicates, seed)
-    return _result(counts, n, box)
+def _qmc_pass(body, n, replicates, seed, columns=None, keep=None):
+    """Per replicate: n Sobol points scaled into the body's box, the rows
+    ``keep(pts)`` passes if given, and one membership test of the body.
+
+    Returns (inside, cols, box): inside[i] counts the kept points of
+    replicate i inside the body, cols[i] holds the integers
+    ``columns(inner)`` returns on those points, and box is the body's box.
+    Membership is decided row by row, so each count equals the plain
+    indicator's."""
+    lo, hi = box = bounding_box(body)
+
+    def one(rep):
+        pts = lo + _sobol(len(lo), n, seed, rep) * (hi - lo)
+        if keep is not None:
+            pts = pts.compress(keep(pts), axis=0)
+        inner = pts.compress(body.contains(pts), axis=0)
+        return [len(inner)] + (columns(inner) if columns else [])
+
+    counts = np.array(_replicate_map(one, replicates))
+    return counts[:, 0], counts[:, 1:], box
 
 
 def volume_qmc(body, n=DEFAULT_QMC_POINTS, replicates=DEFAULT_REPLICATES, seed=0):
-    return _qmc_indicator(bounding_box(body), body.contains, n, replicates,
-                          seed)
+    inside, _, box = _qmc_pass(body, n, replicates, seed)
+    return _result(inside, n, box)
 
 
 def volume_quadrature(body, n=None):
@@ -210,22 +212,11 @@ def volume(body, method="auto", n=None, qmc_points=DEFAULT_QMC_POINTS,
     return volume_qmc(body, qmc_points, replicates, seed)
 
 
-def _where(keep, pts, test):
-    """``test`` on the rows of pts where ``keep`` holds, False on the rest.
-
-    The membership tests classify each row on its own, so restricting them
-    to a subset changes none of the values on it.
-    """
-    hit = np.zeros(len(pts), dtype=bool)
-    hit[keep] = test(pts.compress(keep, axis=0))
-    return hit
-
-
 def _copy_counts(G, K, copies, n, replicates, seed):
     """QMC counts of G and of G intersected with each copy x + rK.
 
-    ``copies`` is a sequence of pairs (x, r).  Per replicate the Sobol
-    points are scaled into G's box and G's membership is tested once.  Each
+    ``copies`` is a sequence of pairs (x, r); ``_qmc_pass`` tests G's
+    membership once per replicate, and its columns are the copies.  Each
     copy keeps the points inside G whose (p - x) / r lie in K's
     ``bounding_box``, and one ``K.contains_many`` call tests the kept points
     of every copy: the bounds of K's gauge decide each copy's points, and
@@ -258,14 +249,11 @@ def _copy_counts(G, K, copies, n, replicates, seed):
             keep &= (q[:, i] >= lo[i]) & (q[:, i] <= hi[i])
         return q.compress(keep, axis=0)
 
-    def count(pts):
-        inner = pts.compress(G.contains(pts), axis=0)
-        hits = K.contains_many(near_box((inner - x) / r) for x, r in copies)
-        return [len(inner)] + [int(np.count_nonzero(h)) for h in hits]
+    def hits(inner):
+        sets = K.contains_many(near_box((inner - x) / r) for x, r in copies)
+        return [int(np.count_nonzero(h)) for h in sets]
 
-    box = bounding_box(G)
-    counts = _replicate_counts(box, count, n, replicates, seed)
-    return counts[:, 0], counts[:, 1:], box
+    return _qmc_pass(G, n, replicates, seed, columns=hits)
 
 
 def intersection_volume(G, K, x, r, n=DEFAULT_QMC_POINTS,
@@ -296,16 +284,14 @@ def halfspace_cut_volume(K, n_dir, n=DEFAULT_QMC_POINTS,
                          replicates=DEFAULT_REPLICATES, seed=0):
     """V({y in K : y . n >= 0}) by qmc membership counting.
 
-    The half-space test is cheap and comes first; K's gauge is evaluated
-    only on the points it keeps, so the count is that of the plain
-    indicator K(p) & (p . n >= 0).
+    The half-space test is cheap and comes first, as ``_qmc_pass``'s
+    ``keep``: K's gauge is evaluated only on the points it keeps, so the
+    count is that of the plain indicator K(p) & (p . n >= 0).
     """
     u = bodies.as_direction(n_dir, K.dim)
-
-    def pred(pts):
-        return _where(pts @ u >= 0.0, pts, K.contains)
-
-    return _qmc_indicator(bounding_box(K), pred, n, replicates, seed)
+    inside, _, box = _qmc_pass(K, n, replicates, seed,
+                               keep=lambda pts: pts @ u >= 0.0)
+    return _result(inside, n, box)
 
 
 def _support_ratio_scan(G, K, x, samples):

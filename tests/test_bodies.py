@@ -16,6 +16,7 @@ from kdense.bodies import (Ball, ConvexBody, Dilate, Ellipsoid, FourierBody2D,
                            reverse_weingarten, sphere_directions,
                            support_ratio_max, tangent_frame)
 from kdense import measure
+from kdense.analysis import krantz_parks_check
 from kdense.errors import NonUniqueSupport, SingularCurvature
 from kdense.measure import bounding_box
 from kdense.oracles import ellipse_curvature_param
@@ -66,6 +67,17 @@ class TestDirections:
             as_direction([1.0, 0.0], dim=3)
         u = as_direction([0.0, 1.0])
         assert np.allclose(u, [0.0, 1.0])
+
+    def test_nan_direction_rejected(self):
+        # a NaN norm is not within 1e-9 of 1: each entry point raises
+        # ValueError instead of returning NaN or SingularCurvature
+        nan = [math.nan, 0.0]
+        with pytest.raises(ValueError):
+            as_direction(nan)
+        with pytest.raises(ValueError):
+            curvature_many(Ellipsoid.from_semiaxes(2.0, 1.0), [nan])
+        with pytest.raises(ValueError):
+            krantz_parks_check(Ball(1.0), Ball(0.7), nan)
 
     def test_sphere_directions_unit(self):
         for dim in (2, 3):

@@ -6,7 +6,11 @@ import pathlib
 
 import pytest
 
+from kdense.analysis import kp1_check, krantz_parks_check
+from kdense.bodies import (Ball, FourierBody2D, ReuleauxTriangle2D, curvature,
+                           difference_body, sphere_directions)
 from kdense.cli import main
+from kdense.errors import SingularCurvature
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SHIPPED = str(ROOT / "configs" / "verify.cfg")
@@ -44,17 +48,18 @@ seed = 0
 {extra}
 """
 
-REULEAUX_IDENTITIES = """
-[body wheel]
-kind = reuleaux
-width = 1.0
+IDENTITIES = """
+[body b]
+{body}
 
 [experiment ids]
 kind = identities
-body = wheel
+body = b
 directions = 16
 {extra}
 """
+REULEAUX = "kind = reuleaux\nwidth = 1.0"
+FOURIER = "kind = fourier\ncos = 1 0 0 0.1"
 
 SMALL = """
 [output]
@@ -81,7 +86,46 @@ seed = 0
 kind = petty
 body = disk
 directions = 32
+
+[experiment contact]
+kind = report
+body = disk
+points = 4
+halfvolume_points = 8
+qmc_points = 4096
+replicates = 4
+seed = 0
+
+[experiment spread]
+kind = kdense
+body = disk
+r = 0.5
+points = 8
+qmc_points = 4096
+replicates = 4
+seed = 0
 """
+
+
+
+def _identity_rows(G, m, tol=1e-8):
+    """The rows of ``run_identities`` against the default other body, from
+    per-direction checks and ``curvature`` at u and -u."""
+    K, other = difference_body(G), Ball(1.0)
+    rows = []
+    for i, u in enumerate(sphere_directions(G.dim, m)):
+        checks = (("krantz_parks", lambda: krantz_parks_check(G, other, u)),
+                  ("kp1", lambda: kp1_check(G, u, K=K)),
+                  ("symmetry", lambda: abs(curvature(G, u).kappa
+                                           - curvature(G, -u).kappa)))
+        try:
+            for check, residual in checks:
+                res = float(residual())
+                verdict = "pass" if res < tol else "fail"
+                rows.append(f"{check},b,{i},{res!r},{verdict}")
+        except SingularCurvature:
+            rows.append(f"singular,b,{i},nan,skipped")
+    return rows
 
 
 class TestVerify:
@@ -186,7 +230,7 @@ class TestExitCodes:
         # every direction is singular for kp1 and symmetry, which need
         # curvature at both u and -u; krantz_parks runs on the arcs
         cfg = tmp_path / "ids.cfg"
-        cfg.write_text(REULEAUX_IDENTITIES.format(extra=""))
+        cfg.write_text(IDENTITIES.format(body=REULEAUX, extra=""))
         out = tmp_path / "o"
         assert main(["identities", str(cfg), "--out", str(out)]) == 2
         rows = [line.split(",") for line in
@@ -201,9 +245,30 @@ class TestExitCodes:
         ids = (out / "ids.csv").read_text().splitlines()
         assert sum(line.startswith("singular,") for line in ids) == 16
 
+    @pytest.mark.parametrize("body, G", [
+        (REULEAUX, ReuleauxTriangle2D(1.0)),
+        (FOURIER, FourierBody2D([1.0, 0.0, 0.0, 0.1]))],
+        ids=["reuleaux", "fourier"])
+    def test_identity_rows_match_curvature(self, tmp_path, body, G):
+        # per direction: krantz_parks, kp1, then symmetry or singular; the
+        # symmetry residual is |kappa(u) - kappa(-u)| of ``curvature``
+        cfg = tmp_path / "ids.cfg"
+        cfg.write_text(IDENTITIES.format(body=body, extra="expect = singular"))
+        out = tmp_path / "o"
+        assert main(["identities", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "ids.csv").read_text().splitlines()[1:]
+        assert lines == _identity_rows(G, 16)
+        summary = {row.split(",")[1]: row.split(",")[3:] for row in
+                   (out / "summary.csv").read_text().splitlines()[1:]}
+        if isinstance(G, FourierBody2D):
+            value, verdict = summary["symmetry"]
+            # not centrally symmetric: kappa(u) and kappa(-u) differ by ~4
+            assert float(value) > 4.0 and verdict == "fail"
+
     def test_declared_singular_identities(self, tmp_path):
         cfg = tmp_path / "ids.cfg"
-        cfg.write_text(REULEAUX_IDENTITIES.format(extra="expect = singular"))
+        cfg.write_text(IDENTITIES.format(body=REULEAUX,
+                                        extra="expect = singular"))
         assert main(["identities", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
@@ -263,6 +328,9 @@ seed = 0
                 os.environ.pop("KDENSE_WORKERS", None)
             else:
                 os.environ["KDENSE_WORKERS"] = old
+        # the report's half-volume battery and the overlap spread draw
+        # Sobol points, so 4 workers run their replicates in the pool
+        assert {"contact.csv", "spread.csv"} <= {p.name for p in a.iterdir()}
         assert _read_all(a) == _read_all(b)
 
     def test_bad_sample_count_rejected(self, tmp_path, capsys):

@@ -12,11 +12,11 @@ from scipy.stats import qmc as scipy_qmc
 
 import kdense
 from kdense import qmc
-from kdense.analysis import kdense_spread
+from kdense.analysis import halfvolume_condition_check, kdense_spread
 
 from kdense.bodies import (Ball, ConvexBody, Dilate, Ellipsoid, MinkowskiSum,
-                           Superellipse2D, Translate, boundary_points,
-                           difference_body, sphere_directions)
+                           Superellipse2D, Translate, as_direction,
+                           boundary_points, difference_body, sphere_directions)
 from kdense.errors import SingularCurvature
 from kdense.measure import (QuadratureGrid, bounding_box, circumscribed_ratio,
                             _copy_counts, _sobol, deficit_volume, gauge,
@@ -287,13 +287,53 @@ class TestPrunedPredicates:
         assert len(rows) == 4 and sum(rows) == 28
 
     def test_halfspace_cut(self):
-        for _, K in self._pairs():
+        # alone, and as the columns of the half-volume battery's one pass:
+        # V(K) and each cut are the plain indicators' counts
+        for G, K in self._pairs():
             box = bounding_box(K)
-            for u in sphere_directions(K.dim, 4):
+            vol = self._plain(K.dim, box, K.contains)
+            battery = halfvolume_condition_check(G, K, m=4, n=self.N,
+                                                 replicates=1, seed=0)
+            assert battery.extra["volume"].value == vol
+            for u, frac in zip(sphere_directions(K.dim, 4), battery.values):
+                u = as_direction(u)
+                plain = self._plain(
+                    K.dim, box, lambda P: K.contains(P) & (P @ u >= 0.0))
                 cut = halfspace_cut_volume(K, u, n=self.N, replicates=1,
                                            seed=0)
-                assert cut.value == self._plain(
-                    K.dim, box, lambda P: K.contains(P) & (P @ u >= 0.0))
+                assert cut.value == plain
+                assert frac == plain / vol
+
+    @staticmethod
+    def _counting_contains(monkeypatch, body):
+        rows = []
+
+        def counting(pts, _orig=body.contains):
+            rows.append(len(pts))
+            return _orig(pts)
+
+        monkeypatch.setattr(body, "contains", counting)
+        return rows
+
+    def test_halfvolume_tests_k_once_per_replicate(self, monkeypatch):
+        G = Ellipsoid.from_semiaxes(2.0, 1.0)
+        K = difference_body(G)
+        rows = self._counting_contains(monkeypatch, K)
+        halfvolume_condition_check(G, K, m=8, n=self.N, replicates=4, seed=0)
+        assert rows == [self.N] * 4
+
+    def test_halfspace_cut_tests_only_its_half(self, monkeypatch):
+        # the half-space prefilter stays: K is tested on the kept rows only
+        K = difference_body(Ellipsoid.from_semiaxes(2.0, 1.0))
+        u = as_direction([0.6, 0.8])
+        lo, hi = bounding_box(K)
+        kept = [int(np.count_nonzero(
+                    (lo + _sobol(2, self.N, 0, rep) * (hi - lo)) @ u >= 0.0))
+                for rep in range(2)]
+        rows = self._counting_contains(monkeypatch, K)
+        halfspace_cut_volume(K, u, n=self.N, replicates=2, seed=0)
+        assert rows == kept
+        assert all(k < 0.6 * self.N for k in kept)
 
 
 class TestHalfspaceCut:

@@ -6,7 +6,7 @@ convex bodies.
 """
 
 from .bodies import (Ball, ConvexBody, CurvatureData, Dilate, Ellipsoid,
-                     FourierBody2D, MinkowskiSum, Reflect, ReuleauxTriangle2D,
+                     FourierBody2D, MinkowskiSum, ReuleauxTriangle2D,
                      Superellipse2D, Translate, boundary_point,
                      boundary_points, curvature, curvature_many,
                      difference_body, normal_at, tangent_frame)

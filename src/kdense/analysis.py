@@ -19,6 +19,10 @@ from .bodies import (_as_directions, _block_sum, _curvature, _frame,
                      difference_body, normal_at, sphere_directions)
 from .errors import NonUniqueContact
 
+# how far below the top of the support-ratio scan a normal still counts as
+# a contact normal, and how far from 1 the touch point's K gauge may be
+CONTACT_TOL = 1e-6
+
 
 class SpreadReport:
     """Min/max/mean statistics of a sampled quantity with an error budget."""
@@ -49,24 +53,24 @@ class SpreadReport:
 
 # ---------------------------------------------------------------------------
 
-def touch_point(G, K, x, contact_tol=1e-6, samples=None):
+def touch_point(G, K, x, samples=None):
     """The unique point where the boundary of x + K meets G, with its normal.
 
     For strictly convex differentiable G and K the inscribed copy x + K
     touches G at exactly one boundary point xbar, characterized by the
     outward normal at xbar being the opposite of the one at x.  Raises
-    NonUniqueContact when the normals within contact_tol of the top of the
+    NonUniqueContact when the normals within CONTACT_TOL of the top of the
     scan of ``measure.circumscribed_ratio`` spread over an arc, carrying G's
     boundary points at them; a lone touching vertex of G is unique contact.
     """
-    return _touch(G, K, x, contact_tol, samples)[:2]
+    return _touch(G, K, x, samples)[:2]
 
 
-def _touch(G, K, x, contact_tol=1e-6, samples=None):
+def _touch(G, K, x, samples=None):
     """``touch_point``'s (xbar, u) and the gauge_K(xbar - x) it checked."""
     x = np.asarray(x, dtype=float)
     U, f = measure._support_ratio_scan(G, K, x, samples)
-    dirs = U[f > np.max(f) - contact_tol]
+    dirs = U[f > np.max(f) - CONTACT_TOL]
     # angular diameter of the contact directions
     diam = float(np.max(np.arccos(np.clip(dirs @ dirs.T, -1.0, 1.0))))
     if diam > 8.0 * _grid_spacing(G.dim, len(U)):
@@ -76,7 +80,7 @@ def _touch(G, K, x, contact_tol=1e-6, samples=None):
     u = -normal_at(G, x)
     xbar = boundary_points(G, u[None, :])[0]
     gk = measure.gauge(K, xbar - x)
-    if abs(gk - 1.0) > contact_tol:
+    if abs(gk - 1.0) > CONTACT_TOL:
         raise NonUniqueContact(
             f"touch point fails the inscribed-copy condition "
             f"(gauge_K(xbar - x) = {gk:.8f})",
@@ -248,11 +252,12 @@ def symmetry_center(G, m=64):
     return np.mean(0.5 * (P + Q), axis=0)
 
 
-def k_equals_2g_check(G, m=256, budget=1e-8):
+def k_equals_2g_check(G, m=256):
     """Spread of h_{G-G}(u) / (2 h_{G-c}(u)) over the sphere.
 
     c is the symmetry-center estimate of G; the ratio is identically 1
-    exactly when the difference body is twice the (centered) body.
+    exactly when the difference body is twice the (centered) body, so the
+    budget is rounding level, 1e-8.
     """
     K = difference_body(G)
     c = symmetry_center(G, m)
@@ -260,7 +265,7 @@ def k_equals_2g_check(G, m=256, budget=1e-8):
     hK = K.support_hom(U)
     hG_centered = G.support_hom(U) - U @ c
     ratios = hK / (2.0 * hG_centered)
-    return SpreadReport("h_{G-G} / 2 h_{G-c}", ratios, budget,
+    return SpreadReport("h_{G-G} / 2 h_{G-c}", ratios, 1e-8,
                         extra={"center": c})
 
 

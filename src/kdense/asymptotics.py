@@ -17,6 +17,9 @@ from .measure import OMEGA, halfspace_cut_volume
 from . import measure
 from .bodies import normal_at
 
+# relative error floor of a QMC ladder's fit in large_r_coefficient_numeric
+LADDER_REL_FLOOR = 0.005
+
 
 class PowerLawFit:
     """Result of fitting f ~ coefficient * eps^exponent on a ladder."""
@@ -95,7 +98,7 @@ def deficit_ladder(G, K, x, eps0=0.1, rungs=8, oracle=None,
 def large_r_coefficient_numeric(G, K, x, eps0=0.1, rungs=8, oracle=None,
                                 n=measure.DEFAULT_QMC_POINTS,
                                 replicates=measure.DEFAULT_REPLICATES,
-                                seed=0, rel_floor=0.005, check_ratio=True):
+                                seed=0):
     """Fitted exponent and coefficient of the deficit decay as r -> 1^-.
 
     Requires K normalized so the circumscribed ratio at x equals 1.
@@ -103,14 +106,14 @@ def large_r_coefficient_numeric(G, K, x, eps0=0.1, rungs=8, oracle=None,
     the signature of a flat touch point.
     """
     x = np.asarray(x, dtype=float)
-    if check_ratio:
-        ratio = measure.circumscribed_ratio(G, K, x)
-        if abs(ratio - 1.0) > 1e-3:
-            raise ValueError(f"circumscribed ratio is {ratio:.6f}; "
-                             "normalize K so it equals 1")
+    ratio = measure.circumscribed_ratio(G, K, x)
+    if abs(ratio - 1.0) > 1e-3:
+        raise ValueError(f"circumscribed ratio is {ratio:.6f}; "
+                         "normalize K so it equals 1")
     ladder = deficit_ladder(G, K, x, eps0=eps0, rungs=rungs, oracle=oracle,
                             n=n, replicates=replicates, seed=seed)
-    fit = fit_power_law(ladder, rel_floor=0.0 if oracle is not None else rel_floor)
+    fit = fit_power_law(ladder, rel_floor=0.0 if oracle is not None
+                        else LADDER_REL_FLOOR)
     target = (G.dim + 1) / 2.0
     if fit.exponent < target - 0.1:
         raise FlatContact(

@@ -10,15 +10,16 @@ equal length, so one form serves a single direction (``curvature``, the
 identity checks) and a stack of them (``curvature_many``, the support
 integral).  The Hessian is E R E' / |v|.  Bodies in finite-difference mode
 take the Hessian by central differences and project it, one direction at a
-time.  The Minkowski algebra (sums, dilations, translations, reflections)
-acts linearly on H and on the tangent block.  One sphere search for the
-largest support ratio serves gauges, normals and circumscribed ratios, whose
-scan also screens touch points.  A 2D gauge is bracketed by the grid cell of
-its point's angle, from below by the outer polygon of the grid normals and
-from above by the chord between two boundary points; only the points those
-bounds leave undecided are searched, and 3D refines coarse gauges near 1.
-``contains_many`` bounds several point sets one by one and refines the
-points left open in all of them in one sphere search.
+time.  The Minkowski algebra (sums, homotheties sK with s != 0, so -K too,
+and translations) acts linearly on H and on the tangent block.  One sphere
+search for the largest support ratio serves gauges, normals and
+circumscribed ratios, whose scan also screens touch points.  ``gauge_many``
+is exact; membership is the bounded path.  A 2D point is bracketed by the
+grid cell of its angle, from below by the outer polygon of the grid normals
+and from above by the chord between two boundary points; only the points
+those bounds leave undecided are searched, and 3D refines coarse gauges
+near 1.  ``contains_many`` bounds several point sets one by one and refines
+the points left open in all of them in one sphere search.
 """
 
 import math
@@ -37,8 +38,8 @@ GAUGE_GRID_2D = 512
 GAUGE_GRID_3D = 4096
 # ratios per block of the 3D coarse scan: about 1 MB of doubles, cache-sized
 GAUGE_BLOCK_RATIOS = 2 ** 17
-# 3D gauge_many(refine="auto") refines coarse gauges within this of 1; 2D
-# decides membership by certified bounds instead
+# 3D membership refines coarse gauges within this of 1; 2D decides it by
+# certified bounds instead
 GAUGE_REFINE_MARGIN = 0.02
 
 
@@ -327,12 +328,6 @@ def support_ratio_max(K, A, U, f0, n_grid):
     return np.maximum(f0, A.support_hom(u) / K.support_hom(u)), u
 
 
-def _check_refine(refine):
-    """Reject a gauge refinement mode other than 'auto' and 'all'."""
-    if refine not in ("auto", "all"):
-        raise ValueError(f"refine must be 'auto' or 'all', not {refine!r}")
-
-
 def _point_rows(pts):
     return np.atleast_2d(np.asarray(pts, dtype=float))
 
@@ -568,27 +563,18 @@ class ConvexBody:
         k[c] = np.searchsorted(phi, psi[c], side="right") - 1
         return order[k]
 
-    def gauge_many(self, pts, refine="auto"):
-        """Gauge values inf{t > 0 : v in tK} for each row of pts.
-
-        A lower bound comes first: in 2D from the point's grid cell, which
-        also bounds the gauge from above (``_gauge_bracket``); in 3D from
-        the coarse scan.  ``refine='all'`` refines every point by the sphere
-        search, ``'auto'`` only what a membership test needs: in 2D the
-        points whose bounds do not decide gauge <= 1 + MEMBERSHIP_TOL, in 3D
-        the coarse gauges within GAUGE_REFINE_MARGIN of 1.  Any other mode
-        raises ValueError.  ``contains`` and ``contains_many`` share this
-        path (``_gauge_sets``).  The 2D upper bound is only as exact as the
-        grid boundary points (see ``_gauge_bracket``), so for a
-        finite-difference body a point counted inside can have a gauge a
-        little above 1 + MEMBERSHIP_TOL: 1.4e-10 relative above it on a
-        finite-difference ellipse.
-        """
-        return self._gauge_sets([pts], refine)[0]
+    def gauge_many(self, pts):
+        """Gauge values inf{t > 0 : v in tK} for each row of pts, exact:
+        every row is refined from its grid bound (``_gauge_bounds``)."""
+        return self._gauge_exact(_point_rows(pts))[0]
 
     def _gauge_bounds(self, pts):
         """Lower bound of each row's gauge, the grid index of its normal,
-        and whether the row is open: whether ``refine='auto'`` refines it."""
+        and whether the row is open: whether a membership test refines it.
+        In 2D the point's grid cell bounds the gauge from both sides
+        (``_gauge_bracket``), and a row is open when the bounds do not decide
+        gauge <= 1 + MEMBERSHIP_TOL; in 3D the coarse scan gives the bound,
+        and a row is open within GAUGE_REFINE_MARGIN of 1."""
         if self.dim == 2:
             g, idx, hi = self._gauge_bracket(pts)
             # a NaN upper bound decides nothing
@@ -596,33 +582,6 @@ class ConvexBody:
                 ~(hi <= 1.0 + MEMBERSHIP_TOL)
         g, idx = self._gauge_coarse(pts)
         return g, idx, np.abs(g - 1.0) < GAUGE_REFINE_MARGIN
-
-    def _gauge_sets(self, point_sets, refine, keep=lambda g: g):
-        """``gauge_many`` of each set of points, or ``keep`` of it: bounds
-        set by set, then one sphere search for the rows to refine of all
-        sets.  Only ``keep`` of a set's gauges (a byte per row for the
-        membership verdicts) and its rows to refine outlive its bounds, so
-        an iterable of sets made on demand never holds them all.  The search
-        treats each row on its own, so a row's gauge does not depend on the
-        rows searched with it.
-        """
-        _check_refine(refine)
-        out, todo = [], []
-        for p in point_sets:
-            p = _point_rows(p)
-            g, idx, m = self._gauge_bounds(p)
-            m = np.arange(len(p)) if refine == "all" else np.flatnonzero(m)
-            out.append((keep(g), m))
-            if len(m):
-                todo.append((p[m], idx[m], g[m]))
-        if todo:
-            pts, idx, g0 = (np.concatenate(t) for t in zip(*todo))
-            g = keep(self._gauge_refine(pts, idx, g0)[0])
-            start = 0
-            for v, m in out:
-                v[m] = g[start:start + len(m)]
-                start += len(m)
-        return [v for v, _ in out]
 
     def _gauge_bracket(self, pts):
         """Certified bounds lo <= gauge <= hi of 2D points, from one cell each.
@@ -674,11 +633,14 @@ class ConvexBody:
         U, _, _ = self._gauge_grid()
         return support_ratio_max(self, SupportRows(pts), U[idx], g0, len(U))
 
+    def _gauge_exact(self, pts):
+        """Exact gauges of the rows of pts and their maximizing directions."""
+        g0, idx, _ = self._gauge_bounds(pts)
+        return self._gauge_refine(pts, idx, g0)
+
     def gauge_argmax(self, v):
         """Gauge of a single vector together with the maximizing direction."""
-        v = np.asarray(v, dtype=float)[None, :]
-        g0, idx, _ = self._gauge_bounds(v)
-        g, u = self._gauge_refine(v, idx, g0)
+        g, u = self._gauge_exact(np.asarray(v, dtype=float)[None, :])
         return float(g[0]), u[0]
 
     def contains(self, pts):
@@ -687,9 +649,29 @@ class ConvexBody:
 
     def contains_many(self, point_sets):
         """``contains`` of each of an iterable of point sets, one bool array
-        per set, equal to it bit for bit.  The points the bounds leave open
-        in every set share one sphere search."""
-        return self._gauge_sets(point_sets, "auto", _inside)
+        per set, equal to it bit for bit: bounds set by set, then one sphere
+        search for the open rows of all sets, each row on its own.  Only a
+        set's verdicts and open rows outlive its bounds, so sets made on
+        demand are never all held.  The 2D upper bound is only as exact as
+        the grid boundary points (``_gauge_bracket``): on a finite-difference
+        ellipse a point counted inside had a gauge 1.4e-10 relative above
+        1 + MEMBERSHIP_TOL."""
+        out, todo = [], []
+        for p in point_sets:
+            p = _point_rows(p)
+            g, idx, m = self._gauge_bounds(p)
+            m = np.flatnonzero(m)
+            out.append((_inside(g), m))
+            if len(m):
+                todo.append((p[m], idx[m], g[m]))
+        if todo:
+            pts, idx, g0 = (np.concatenate(t) for t in zip(*todo))
+            inside = _inside(self._gauge_refine(pts, idx, g0)[0])
+            start = 0
+            for v, m in out:
+                v[m] = inside[start:start + len(m)]
+                start += len(m)
+        return [v for v, _ in out]
 
     # -- validation ---------------------------------------------------------
 
@@ -712,8 +694,7 @@ class _ClosedGauge(ConvexBody):
     """A kind whose gauge has a closed form, ``_closed_gauge(pts)``: nothing
     is refined, and ``contains_many`` answers each set on its own."""
 
-    def gauge_many(self, pts, refine="auto"):
-        _check_refine(refine)
+    def gauge_many(self, pts):
         return self._closed_gauge(_point_rows(pts))
 
     def contains_many(self, point_sets):
@@ -1091,34 +1072,48 @@ class MinkowskiSum(ConvexBody):
 
 
 class Dilate(ConvexBody):
+    """sK = {s y : y in K} for a finite s != 0; s = -1 is the reflection -K.
+    With e = sign(s), H(v) = |s| H_K(e v), and the tangent block at u is
+    |s| R_K(e u) in the same frame; gauges are those of p / s.  Multiplying
+    by 1 is exact, so every value equals a plain scaling (s > 0) or sign
+    flip (s = -1) bit for bit."""
+
     kind = "dilate"
 
     def __init__(self, body, factor, **kw):
         super().__init__(body.dim, **kw)
-        if factor <= 0:
-            raise ValueError("dilation factor must be positive")
+        factor = float(factor)
+        if not (math.isfinite(factor) and factor != 0.0):
+            raise ValueError("dilation factor must be finite and nonzero, "
+                             f"not {factor}")
         self.body = body
-        self.factor = float(factor)
+        self.factor = factor
+        self._scale, self._sign = abs(factor), math.copysign(1.0, factor)
 
     def _support_impl(self, V):
-        return self.factor * self.body.support_hom(V)
+        return self._scale * self.body.support_hom(self._sign * V)
 
     def _gradient_impl(self, V):
-        return self.factor * self.body.gradient_hom(V)
+        return self.factor * self.body.gradient_hom(self._sign * V)
 
     def _tangent_block_impl(self, u, E):
-        t = self.factor
-        return tuple(t * r for r in self.body._tangent_block(u, E))
+        # the per-direction checks call this once per u: the exact factors
+        # 1 and -1 are skipped or taken as a sign flip, not multiplied
+        if self._sign < 0.0:
+            u = tuple(map(operator.neg, u))
+        R = self.body._tangent_block(u, E)
+        return R if self._scale == 1.0 else tuple(self._scale * r for r in R)
 
-    def gauge_many(self, pts, refine="auto"):
-        return self.body.gauge_many(np.asarray(pts, dtype=float) / self.factor, refine)
+    def gauge_many(self, pts):
+        return self.body.gauge_many(np.asarray(pts, dtype=float) / self.factor)
 
     def contains_many(self, point_sets):
         return self.body.contains_many(_point_rows(p) / self.factor
                                        for p in point_sets)
 
     def gauge_argmax(self, v):
-        return self.body.gauge_argmax(np.asarray(v, dtype=float) / self.factor)
+        g, u = self.body.gauge_argmax(np.asarray(v, dtype=float) / self.factor)
+        return g, self._sign * u
 
 
 class Translate(ConvexBody):
@@ -1140,38 +1135,9 @@ class Translate(ConvexBody):
         return self.body._tangent_block(u, E)
 
 
-class Reflect(ConvexBody):
-    """The reflection -K of a body through the origin."""
-
-    kind = "reflect"
-
-    def __init__(self, body, **kw):
-        super().__init__(body.dim, **kw)
-        self.body = body
-
-    def _support_impl(self, V):
-        return self.body.support_hom(-V)
-
-    def _gradient_impl(self, V):
-        return -self.body.gradient_hom(-V)
-
-    def _tangent_block_impl(self, u, E):
-        return self.body._tangent_block(tuple(map(operator.neg, u)), E)
-
-    def gauge_many(self, pts, refine="auto"):
-        return self.body.gauge_many(-np.asarray(pts, dtype=float), refine)
-
-    def contains_many(self, point_sets):
-        return self.body.contains_many(-_point_rows(p) for p in point_sets)
-
-    def gauge_argmax(self, v):
-        g, u = self.body.gauge_argmax(-np.asarray(v, dtype=float))
-        return g, -u
-
-
 def difference_body(G):
     """The centrally symmetric difference body G + (-G)."""
-    return MinkowskiSum(G, Reflect(G))
+    return MinkowskiSum(G, Dilate(G, -1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -1310,7 +1276,7 @@ def curvature_many(body, U):
 # ---------------------------------------------------------------------------
 # boundary points
 
-def boundary_point(body, u, check_unique=None):
+def boundary_point(body, u):
     """The boundary point of the body with outward unit normal u.
 
     Equals the gradient of the homogeneous support extension.  When the
@@ -1319,13 +1285,10 @@ def boundary_point(body, u, check_unique=None):
     NonUniqueSupport is raised for flat faces.
     """
     u = as_direction(u, body.dim)
-    if check_unique is None:
-        check_unique = body.derivative_mode == "finite-difference" or \
-            body._gradient_impl(u[None, :]) is None
-    if check_unique:
+    if body.derivative_mode == "finite-difference" or \
+            body._gradient_impl(u[None, :]) is None:
         _check_unique_support(body, u)
-    x = body.gradient_hom(u[None, :])[0]
-    return x
+    return body.gradient_hom(u[None, :])[0]
 
 
 def boundary_points(body, U):

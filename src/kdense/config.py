@@ -169,7 +169,7 @@ def _build_body(spec, cfg):
             return bodies.Translate(cfg.body(o["of"]),
                                     _floats(o["vector"], name, "vector"))
         if kind == "reflect":
-            return bodies.Reflect(cfg.body(o["of"]))
+            return bodies.Dilate(cfg.body(o["of"]), -1.0)
         if kind == "minkowski_sum":
             return bodies.MinkowskiSum(cfg.body(o["left"]), cfg.body(o["right"]))
     except KeyError as e:

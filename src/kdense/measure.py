@@ -119,10 +119,7 @@ def bounding_box(body, pad=0.01):
 
 def gauge(body, v):
     """Minkowski functional of the body at v (origin must be interior)."""
-    v = np.asarray(v, dtype=float)
-    if np.linalg.norm(v) == 0.0:
-        return 0.0
-    return float(body.gauge_many(v[None, :], refine="all")[0])
+    return float(body.gauge_many(v)[0])
 
 
 def _result(counts, n, box):

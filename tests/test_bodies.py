@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdense.bodies import (Ball, ConvexBody, Dilate, Ellipsoid, FourierBody2D,
-                           MEMBERSHIP_TOL, MinkowskiSum, Reflect,
-                           ReuleauxTriangle2D, Superellipse2D, SupportRows,
+                           MEMBERSHIP_TOL, MinkowskiSum, ReuleauxTriangle2D,
+                           Superellipse2D, SupportRows,
                            Translate, _optimality_residual, as_direction,
                            boundary_point, boundary_points, curvature,
                            curvature_many, difference_body, normal_at,
@@ -45,7 +45,7 @@ def _gauge_zoo():
         difference_body(Ellipsoid.from_semiaxes(1.5, 1.0, 0.8)),
         Dilate(difference_body(E), 0.5),
         Translate(difference_body(E), [0.3, -0.2]),
-        Reflect(Superellipse2D(4.0)),
+        Dilate(Superellipse2D(4.0), -1.0),
     ]
 
 
@@ -179,7 +179,7 @@ class TestSupport:
         assert np.allclose(D.support_hom(u), 3.0 * B.support_hom(u))
         T = Translate(B, [0.3, -0.2])
         assert np.allclose(T.support_hom(u), B.support_hom(u) + u @ [0.3, -0.2])
-        R = Reflect(Ball(1.0, center=[0.5, 0.0]))
+        R = Dilate(Ball(1.0, center=[0.5, 0.0]), -1.0)
         assert R.support([1.0, 0.0]) == pytest.approx(0.5)
 
     def test_difference_body_is_symmetric(self):
@@ -246,6 +246,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             Ball(1.0, derivative_mode="symbolic")
 
+    def test_dilation_factor(self):
+        # any finite nonzero factor is a homothety; zero and non-finite
+        # factors would build a degenerate or NaN body
+        for s in (0.0, -0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="factor"):
+                Dilate(Ball(1.0), s)
+        D = Dilate(Ball(1.0, center=[0.5, 0.0]), -2.0)
+        assert D.support([1.0, 0.0]) == pytest.approx(1.0)
+        assert D.support([-1.0, 0.0]) == pytest.approx(3.0)
+
 
 # ---------------------------------------------------------------------------
 # boundary points and normals
@@ -263,7 +273,7 @@ class TestBoundary:
         for body in _zoo():
             U = _units(body.dim, 16)
             P = boundary_points(body, U)
-            g = body.gauge_many(P, refine="all")
+            g = body.gauge_many(P)
             assert np.allclose(g, 1.0, atol=1e-6)
 
     def test_normal_round_trip(self):
@@ -475,8 +485,8 @@ class TestTangentBlock:
                         _ellipsoid_kappa(G.Q, u), rel=rtol, abs=0.0)
 
     def test_combinators_kappa_closed_form(self):
-        # G - G, tG, G + v and -G of an ellipsoid with matrix Q are
-        # ellipsoids with matrices 4Q, t^2 Q, Q and Q
+        # G - G, tG (t = 2.5 and -1.5), G + v and -G of an ellipsoid with
+        # matrix Q are ellipsoids with matrices 4Q, t^2 Q, Q and Q
         rng = np.random.default_rng(22)
         for axes in self.ECCENTRIC:
             dim = len(axes)
@@ -484,13 +494,14 @@ class TestTangentBlock:
             rtol = 1e-14 * (max(axes) / min(axes)) ** 2
             cases = [(difference_body(G), 4.0 * G.Q),
                      (Dilate(G, 2.5), 6.25 * G.Q),
+                     (Dilate(G, -1.5), 2.25 * G.Q),
                      (Translate(G, rng.normal(size=dim) * 0.1), G.Q)]
             for u in _units(dim, 12):
                 for body, Q in cases:
                     assert curvature(body, u).kappa == pytest.approx(
                         _ellipsoid_kappa(Q, u), rel=rtol, abs=0.0)
                 # -G in the frame of -u: the antipodal curvature of G
-                data = curvature(Reflect(G), u, frame=tangent_frame(-u))
+                data = curvature(Dilate(G, -1.0), u, frame=tangent_frame(-u))
                 assert data.kappa == pytest.approx(
                     _ellipsoid_kappa(G.Q, u), rel=rtol, abs=0.0)
 
@@ -502,7 +513,7 @@ class TestTangentBlock:
             ReuleauxTriangle2D(1.0), E2, E3,
             _rotated_ellipsoid(np.random.default_rng(23), (2.0, 1.0, 1.5)),
             difference_body(E2), difference_body(E3), Dilate(E3, 2.5),
-            Translate(E2, [0.1, 0.2]), Reflect(E3),
+            Translate(E2, [0.1, 0.2]), Dilate(E3, -1.0),
             MinkowskiSum(FourierBody2D([1.0, 0.0, 0.0, 0.1]), Ball(0.5)),
             MinkowskiSum(E3, Ball(0.7, dim=3)),
             Ellipsoid.from_semiaxes(2.0, 1.0, 1.5, **fd),
@@ -542,8 +553,9 @@ class TestTangentBlock:
             Superellipse2D(2.5), Superellipse2D(8.0),
             _rotated_ellipsoid(np.random.default_rng(24), (2.0, 1.0, 1.5)),
             difference_body(E3), Dilate(E3, 2.5), Translate(E3, [0.1, 0.2, 0.0]),
-            Reflect(E3), MinkowskiSum(FourierBody2D([1.0, 0.0, 0.0, 0.1]),
-                                      Superellipse2D(4.0)),
+            Dilate(E3, -1.0),
+            MinkowskiSum(FourierBody2D([1.0, 0.0, 0.0, 0.1]),
+                         Superellipse2D(4.0)),
         ]
         for body in bodies:
             for u in map(as_direction, _off_axis(body.dim)):
@@ -558,7 +570,8 @@ class TestTangentBlock:
         # finite-difference Hessian of the support function
         bodies = _zoo() + [
             difference_body(Ellipsoid.from_semiaxes(2.0, 1.0, 1.5)),
-            Reflect(Translate(Ellipsoid.from_semiaxes(2.0, 1.0), [0.3, 0.1])),
+            Dilate(Translate(Ellipsoid.from_semiaxes(2.0, 1.0), [0.3, 0.1]),
+                   -1.0),
         ]
         for body in bodies:
             for v in 1.7 * _off_axis(body.dim):
@@ -582,7 +595,7 @@ class TestTangentBlock:
                   Ellipsoid.from_semiaxes(2.0, 1.0, 1.5)):
             u = _units(G.dim, 1)[0]
             for body in (G, difference_body(G), Dilate(G, 2.0),
-                         Translate(G, np.full(G.dim, 0.1)), Reflect(G),
+                         Translate(G, np.full(G.dim, 0.1)), Dilate(G, -1.0),
                          MinkowskiSum(G, Ball(0.5, dim=G.dim))):
                 curvature(body, u)
                 reverse_weingarten(body, u)
@@ -613,7 +626,7 @@ class TestCurvatureMany:
             _rotated_ellipsoid(np.random.default_rng(31), (2.0, 1.0, 1.5)),
             Dilate(E3, 2.5), Dilate(fourier, 0.5),
             Translate(E2, [0.1, 0.2]), Translate(E3, [0.1, 0.2, 0.0]),
-            Reflect(E3), Reflect(fourier),
+            Dilate(E3, -1.0), Dilate(fourier, -1.0),
             difference_body(E2), difference_body(E3),
             difference_body(Superellipse2D(4.0)),
             MinkowskiSum(fourier, Superellipse2D(4.0)),
@@ -730,17 +743,17 @@ class TestGauge:
         # MinkowskiSum falls back to the scan-and-refine gauge
         S = MinkowskiSum(Ball(1.0), Ball(1.0))  # = ball of radius 2
         pts = 3.0 * _units(2, 32)
-        assert np.allclose(S.gauge_many(pts, refine="all"), 1.5, atol=1e-8)
+        assert np.allclose(S.gauge_many(pts), 1.5, atol=1e-8)
         S3 = MinkowskiSum(Ball(1.0, dim=3), Ball(1.0, dim=3))
         pts = 1.0 * _units(3, 16)
-        assert np.allclose(S3.gauge_many(pts, refine="all"), 0.5, atol=1e-5)
+        assert np.allclose(S3.gauge_many(pts), 0.5, atol=1e-5)
 
     def test_generic_gauge_ellipse_sum(self):
         K = difference_body(Ellipsoid.from_semiaxes(2.0, 1.0))  # = 2G
         E = Ellipsoid.from_semiaxes(4.0, 2.0)
         pts = RNG.normal(size=(64, 2)) * [3.0, 1.5]
         g_exact = E.gauge_many(pts)
-        g_scan = K.gauge_many(pts, refine="all")
+        g_scan = K.gauge_many(pts)
         assert np.allclose(g_scan, g_exact, atol=1e-7)
 
     def test_gauge_homogeneity(self):
@@ -788,22 +801,64 @@ class TestGauge:
         assert np.all(np.isnan(J[1:]))
 
     def test_empty_input(self):
-        # the pruned QMC predicates can hand a body no points at all
+        # the pruned QMC predicates can hand a body no points at all; the
+        # zero vector has gauge 0 on every kind, which measure.gauge relies on
         for body in _gauge_zoo():
             empty = np.empty((0, body.dim))
-            for refine in ("auto", "all"):
-                assert body.gauge_many(empty, refine=refine).shape == (0,)
+            assert body.gauge_many(empty).shape == (0,)
             inside = body.contains(empty)
             assert inside.shape == (0,) and inside.dtype == bool
+            assert body.gauge_many(np.zeros(body.dim)).tolist() == [0.0]
+            assert measure.gauge(body, np.zeros(body.dim)) == 0.0
 
-    def test_unknown_refine_raises(self):
-        # only 'auto' and 'all' exist; the removed 'none' must not act as
-        # 'auto' on any kind, closed-form, generic or forwarding
-        for body in _gauge_zoo():
-            pts = RNG.normal(size=(4, body.dim))
-            for refine in ("none", "ALL", None):
-                with pytest.raises(ValueError, match="refine"):
-                    body.gauge_many(pts, refine=refine)
+    def test_default_gauge_is_exact(self):
+        # K = G - G of an ellipsoid with matrix Q is the ellipsoid 4Q; the
+        # default gauge refines every point, not only those near gauge 1
+        rng = np.random.default_rng(16)
+        for axes, n in (((2.0, 1.0), 10 ** 4), ((1.5, 1.0, 0.8), 2000)):
+            G = Ellipsoid.from_semiaxes(*axes)
+            P = rng.normal(size=(n, G.dim)) * (2.0 * np.array(axes))
+            want = Ellipsoid(4.0 * G.Q).gauge_many(P)
+            got = difference_body(G).gauge_many(P)
+            assert np.abs(got / want - 1.0).max() <= 1e-12, axes
+
+    def test_reflection_is_the_body_at_minus_v(self):
+        # Dilate(G, -1) multiplies by |s| = 1, which is exact: every value
+        # is G's at -V bit for bit, for closed, generic and
+        # finite-difference bodies in 2D and 3D
+        rng = np.random.default_rng(17)
+        E2 = Ellipsoid.from_semiaxes(2.0, 1.0)
+        E3 = Ellipsoid.from_semiaxes(1.5, 1.0, 0.8, center=[0.1, -0.2, 0.05])
+        for G in (Translate(difference_body(E2), [0.3, -0.2]),
+                  FourierBody2D([1.0, 0.0, 0.1, 0.05], [0.0, 0.0, 0.03, 0.02]),
+                  E3, Translate(difference_body(E3), [0.2, 0.1, -0.3]),
+                  FourierBody2D([1.0, 0.0, 0.0, 0.1],
+                                derivative_mode="finite-difference")):
+            R = Dilate(G, -1.0)
+            U = _units(G.dim, 12)
+            assert np.array_equal(R.support_hom(U), G.support_hom(-U))
+            assert np.array_equal(R.gradient_hom(U), -G.gradient_hom(-U))
+            # the tangent block, stacked and per direction, in the frame of u
+            u = tuple(np.ascontiguousarray(U.T))
+            E = tuple(tuple(np.ascontiguousarray(e.T))
+                      for e in np.moveaxis(np.stack(
+                          [tangent_frame(v) for v in U]), 2, 0))
+            assert np.array_equal(R._tangent_block(u, E),
+                                  G._tangent_block(tuple(-c for c in u), E))
+            for v in map(as_direction, U[:4]):
+                frame = tangent_frame(v)
+                assert np.array_equal(reverse_weingarten(R, v, frame)[0],
+                                      reverse_weingarten(G, -v, frame)[0])
+            # points inside, outside and near the boundary
+            X = boundary_points(R, U)
+            P = np.vstack([X * rng.uniform(0.5, 1.5, size=(len(X), 1)),
+                           X * (1.0 + 1e-10 * rng.normal(size=(len(X), 1)))])
+            assert np.array_equal(R.gauge_many(P), G.gauge_many(-P))
+            assert np.array_equal(R.contains(P), G.contains(-P))
+            for x in P[:4]:
+                g, n = R.gauge_argmax(x)
+                g_ref, n_ref = G.gauge_argmax(-x)
+                assert g == g_ref and np.array_equal(n, -n_ref)
 
 
 class TestContainsMany:
@@ -821,7 +876,7 @@ class TestContainsMany:
             FourierBody2D([1.0, 0.0, 0.1, 0.05], [0.0, 0.0, 0.03, 0.02],
                           derivative_mode="finite-difference"),
             Dilate(difference_body(S), 1.3),
-            Reflect(Translate(difference_body(E), [0.3, -0.2])),
+            Dilate(Translate(difference_body(E), [0.3, -0.2]), -1.0),
             E,
         ]
 
@@ -912,7 +967,7 @@ class TestGaugeBracket:
              E.gauge_many, MEMBERSHIP_TOL),
             (Dilate(difference_body(S4), 0.7),
              lambda P: S4.gauge_many(P / 1.4), exact),
-            (Reflect(Translate(difference_body(E), [0.3, -0.2])),
+            (Dilate(Translate(difference_body(E), [0.3, -0.2]), -1.0),
              Ellipsoid(4.0 * E.Q, center=[-0.3, 0.2]).gauge_many, exact),
         ]
 
@@ -931,8 +986,8 @@ class TestGaugeBracket:
         for K, closed, tol in self._bodies():
             P = self._points(K, rng)
             lo, _, hi = K._gauge_bracket(P)
-            # the base method: Dilate and Reflect forward their own gauges
-            g = (ConvexBody.gauge_many(K, P, refine="all") if closed is None
+            # the base method: Dilate forwards its own gauge
+            g = (ConvexBody.gauge_many(K, P) if closed is None
                  else closed(P))
             assert np.all(lo <= g * (1.0 + tol)), K
             assert np.all(g <= hi * (1.0 + tol)), K
@@ -962,7 +1017,7 @@ class TestGaugeBracket:
             want, _ = support_ratio_max(K, SupportRows(P),
                                         U[np.argmax(ratios, axis=1)],
                                         ratios.max(axis=1), len(U))
-            got = ConvexBody.gauge_many(K, P, refine="all")
+            got = ConvexBody.gauge_many(K, P)
             assert np.array_equal(got, want), K
 
     def test_cells_match_searchsorted(self):

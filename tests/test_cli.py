@@ -7,9 +7,10 @@ import pathlib
 import pytest
 
 from kdense.analysis import kp1_check, krantz_parks_check
-from kdense.bodies import (Ball, FourierBody2D, ReuleauxTriangle2D, curvature,
-                           difference_body, sphere_directions)
+from kdense.bodies import (Ball, Dilate, FourierBody2D, ReuleauxTriangle2D,
+                           curvature, difference_body, sphere_directions)
 from kdense.cli import main
+from kdense.config import load_config
 from kdense.errors import SingularCurvature
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -332,6 +333,51 @@ seed = 0
         # Sobol points, so 4 workers run their replicates in the pool
         assert {"contact.csv", "spread.csv"} <= {p.name for p in a.iterdir()}
         assert _read_all(a) == _read_all(b)
+
+    @pytest.mark.parametrize("factor", ["nan", "inf", "0"])
+    def test_bad_dilation_factor_rejected(self, tmp_path, capsys, factor):
+        # a NaN factor used to build a NaN body and exit 0 with an inf spread
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"""
+[body d]
+kind = ball
+radius = 1.0
+
+[body k]
+kind = dilate
+of = d
+factor = {factor}
+
+[experiment s]
+kind = kdense
+body = d
+k = k
+r = 0.5
+points = 4
+qmc_points = 1024
+replicates = 2
+""")
+        assert main(["verify", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "factor" in err
+
+    def test_reflect_kind_is_dilate_by_minus_one(self, tmp_path):
+        # configs keep the kind 'reflect'; it builds Dilate(of, -1)
+        path = tmp_path / "r.cfg"
+        path.write_text("""
+[body d]
+kind = ball
+radius = 1.0
+center = 0.3 0.0
+
+[body r]
+kind = reflect
+of = d
+""")
+        cfg = load_config(str(path))
+        R = cfg.body("r")
+        assert isinstance(R, Dilate) and R.factor == -1.0
+        assert R.support([1.0, 0.0]) == cfg.body("d").support([-1.0, 0.0])
 
     def test_bad_sample_count_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

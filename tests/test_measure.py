@@ -422,9 +422,9 @@ class TestCircumscribedRatio:
     def test_no_gauge_solve(self, monkeypatch):
         calls = []
         for cls in (ConvexBody, Ellipsoid):
-            def counting(self, pts, refine="auto", _orig=cls.gauge_many):
+            def counting(self, pts, _orig=cls.gauge_many):
                 calls.append(self)
-                return _orig(self, pts, refine)
+                return _orig(self, pts)
             monkeypatch.setattr(cls, "gauge_many", counting)
         for G in (Ellipsoid.from_semiaxes(2.0, 1.0, center=[0.3, 0.1]),
                   Superellipse2D(4.0),

@@ -14,9 +14,10 @@ import operator
 import numpy as np
 
 from . import measure
-from .bodies import (_as_directions, _block_sum, _curvature, _frame,
-                     _grid_spacing, _unit, boundary_points, curvature_many,
-                     difference_body, normal_at, sphere_directions)
+from .bodies import (_as_directions, _block_sum, _curvature, _direction,
+                     _grid_spacing, _is_difference_body, boundary_points,
+                     curvature_many, difference_body, normal_at,
+                     sphere_directions)
 from .errors import NonUniqueContact
 
 # how far below the top of the support-ratio scan a normal still counts as
@@ -135,17 +136,6 @@ def petty_check(G, m=256):
                                "kappa": kappa, "h": h})
 
 
-def _direction(u, dim):
-    """u validated and normalized once, as floats, and its tangent frame."""
-    u = _unit(u, dim)
-    return u, _frame(u)
-
-
-def _shape(R, u):
-    """Entries of the shape operator S of the tangent block R at u."""
-    return _curvature(R, u)[1]
-
-
 def _full(S):
     """Row-major entries of the 1x1 or symmetric 2x2 matrix with entries S."""
     return S if len(S) == 1 else (S[0], S[1], S[1], S[2])
@@ -167,10 +157,10 @@ def krantz_parks_check(A, B, u):
     """
     u, F = _direction(u, A.dim)
     R_A = A._tangent_block(u, F)
-    S_A = _shape(R_A, u)
+    S_A = _curvature(R_A, u)[1]
     R_B = B._tangent_block(u, F)
-    S_B = _shape(R_B, u)
-    S_AB = _shape(_block_sum(R_A, R_B), u)
+    S_B = _curvature(R_B, u)[1]
+    S_AB = _curvature(_block_sum(R_A, R_B), u)[1]
     return _frobenius_gap(_full(S_AB), _harmonic_compose(S_A, S_B))
 
 
@@ -206,15 +196,22 @@ def kp1_check(G, u, K=None):
 
     With K = G + (-G), checks S_K(u) against
     [I + S_G(u)^{-1} S_G(-u)]^{-1} S_G(-u) in a shared frame, and that
-    S_G(u) - S_K(u) is positive definite.
+    S_G(u) - S_K(u) is positive definite.  G's tangent blocks at u and -u
+    are evaluated once each.  When K is G's difference body (the default,
+    or ``difference_body(G)`` passed in), its block is their sum, entry by
+    entry, as ``MinkowskiSum`` and ``Dilate`` form it; any other K is
+    evaluated on its own.  SingularCurvature is raised for K, G at u and
+    G at -u in that order.
     """
-    if K is None:
-        K = difference_body(G)
     u, F = _direction(u, G.dim)
     mu = tuple(map(operator.neg, u))
-    S_K = _shape(K._tangent_block(u, F), u)
-    S_Gu = _shape(G._tangent_block(u, F), u)
-    S_Gmu = _shape(G._tangent_block(mu, F), mu)
+    R_Gu = G._tangent_block(u, F)
+    R_Gmu = G._tangent_block(mu, F)
+    R_K = _block_sum(R_Gu, R_Gmu) if K is None or _is_difference_body(K, G) \
+        else K._tangent_block(u, F)
+    S_K = _curvature(R_K, u)[1]
+    S_Gu = _curvature(R_Gu, u)[1]
+    S_Gmu = _curvature(R_Gmu, mu)[1]
     rhs = _harmonic_compose(S_Gu, S_Gmu)
     if not _is_positive_definite(tuple(map(operator.sub, S_Gu, S_K))):
         raise ValueError("S_G(u) - S_K(u) is not positive definite")

@@ -8,12 +8,18 @@ plane orthogonal to u (the reverse Weingarten map), built in closed form
 once, on components: each component of u and E is a float or an array of
 equal length, so one form serves a single direction (``curvature``, the
 identity checks) and a stack of them (``curvature_many``, the support
-integral).  The Hessian is E R E' / |v|.  Bodies in finite-difference mode
-take the Hessian by central differences and project it, one direction at a
-time.  The Minkowski algebra (sums, homotheties sK with s != 0, so -K too,
-and translations) acts linearly on H and on the tangent block.  One sphere
-search for the largest support ratio serves gauges, normals and
-circumscribed ratios, whose scan also screens touch points.  ``gauge_many``
+integral).  det R, the degeneracy test and S = R^-1 are array helpers for
+the stack; for one direction ``_curvature`` fuses them into a single scalar
+routine, and TestCurvatureMany::test_rows_equal_curvature_bit_for_bit pins
+the two paths to each other.  A single direction is validated once and
+memoized with its frame (``_direction``).  The Hessian is E R E' / |v|.
+Bodies in finite-difference mode take the Hessian by central differences
+and project it, one direction at a time.  The Minkowski algebra (sums,
+homotheties sK with s != 0, so -K too, and translations) acts linearly on H
+and on the tangent block.  Balls and ellipsoids decide that the origin is
+interior in closed form.  One sphere search for the largest support ratio
+serves gauges, normals and circumscribed ratios, whose scan also screens
+touch points.  ``gauge_many``
 is exact; membership is the bounded path.  A 2D point is bracketed by the
 grid cell of its angle, from below by the outer polygon of the grid normals
 and from above by the chord between two boundary points; only the points
@@ -48,7 +54,8 @@ GAUGE_REFINE_MARGIN = 0.02
 
 def _unit(u, dim=None):
     """Validate a unit direction and return it normalized, as a tuple of
-    floats.  The norm is numpy's dot ``u @ u`` (a Python sum of squares
+    floats.  The norm is numpy's dot ``u.dot(u)``, the BLAS dot that
+    ``u @ u`` takes at a third of its call cost (a Python sum of squares
     can differ from it in the last bit), and each component is divided by
     it only when it is not exactly 1, as the division would return it."""
     u = np.asarray(u, dtype=float)
@@ -56,7 +63,7 @@ def _unit(u, dim=None):
         raise ValueError("direction must be a 2- or 3-vector")
     if dim is not None and u.shape[0] != dim:
         raise ValueError(f"direction has dimension {u.shape[0]}, expected {dim}")
-    n = math.sqrt(u @ u)
+    n = math.sqrt(u.dot(u))
     if not abs(n - 1.0) <= 1e-9:  # a NaN norm fails too
         raise ValueError(f"direction is not unit (|u| = {n})")
     c = u.tolist()
@@ -71,7 +78,7 @@ def as_direction(u, dim=None):
 def _as_directions(U, dim):
     """Validate the rows of U as unit directions and normalize each one
     exactly as ``as_direction`` does: the batched matmul of a row with
-    itself takes the same dot product as ``u @ u``."""
+    itself takes the same dot product as ``u.dot(u)``."""
     U = np.asarray(U, dtype=float)
     if U.ndim != 2 or U.shape[1] != dim:
         raise ValueError(f"directions must be the rows of an (n, {dim}) array")
@@ -101,6 +108,31 @@ def _frame(u):
     n = math.sqrt(x1 * x1 + y1 * y1 + z1 * z1)
     x1, y1, z1 = x1 / n, y1 / n, z1 / n
     return ((x1, y1, z1), (y * z1 - z * y1, z * x1 - x * z1, x * y1 - y * x1))
+
+
+# validated directions and their frames, by the bytes of the float array:
+# the per-direction checks meet the same few directions many times.  A full
+# memo is emptied in one call, never evicted entry by entry, so threads
+# that share it cannot race on an eviction.
+DIRECTION_MEMO_MAX = 1024
+_DIRECTION_MEMO = {}
+
+
+def _direction(u, dim):
+    """``_unit(u, dim)`` and its ``_frame``, memoized by (dim, shape, bytes)
+    of u as a float array: a hit returns the tuples a miss computes from
+    the same bytes.  Only validated directions are stored, so invalid input
+    raises on every call."""
+    a = np.asarray(u, dtype=float)
+    key = (dim, a.shape, a.tobytes())
+    hit = _DIRECTION_MEMO.get(key)
+    if hit is None:
+        u = _unit(a, dim)
+        hit = u, _frame(u)
+        if len(_DIRECTION_MEMO) >= DIRECTION_MEMO_MAX:
+            _DIRECTION_MEMO.clear()
+        _DIRECTION_MEMO[key] = hit
+    return hit
 
 
 def _frame_matrix(E):
@@ -711,11 +743,13 @@ class Ball(_ClosedGauge):
         else:
             center = np.zeros(dim)
         super().__init__(dim, **kw)
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        if not (math.isfinite(radius) and radius > 0):
+            raise ValueError(
+                f"radius must be positive and finite, not {radius}")
         self.radius = float(radius)
         self.center = center
-        self._validate_positive()
+        self._Qinv = np.eye(dim) / self.radius ** 2
+        _check_origin_interior(self.kind, self._Qinv, center)
 
     def _support_impl(self, V):
         return self.radius * np.linalg.norm(V, axis=1) + V @ self.center
@@ -728,18 +762,34 @@ class Ball(_ClosedGauge):
         return (r,) if self.dim == 2 else (r, 0.0, r)
 
     def _closed_gauge(self, pts):
-        return _offset_quadric_gauge(pts, np.eye(self.dim) / self.radius ** 2,
-                                     self.center)
+        return _offset_quadric_gauge(pts, self._Qinv, self.center)
 
     def gauge_argmax(self, v):
-        return _offset_quadric_argmax(v, np.eye(self.dim) / self.radius ** 2,
-                                      self.center)
+        return _offset_quadric_argmax(v, self._Qinv, self.center)
+
+
+def _origin_margin(Qinv, c):
+    """1 - c' Qinv c, positive exactly when the origin is strictly interior
+    to {y : (y-c)' Qinv (y-c) <= 1}."""
+    return 1.0 - c @ Qinv @ c
+
+
+def _check_origin_interior(kind, Qinv, c):
+    """Decide in closed form, by the margin the gauge divides by, that the
+    quadric's origin is strictly interior: c.c < r^2 for a ball, and
+    c' Q^-1 c < 1 for an ellipsoid.  A non-finite center raises too."""
+    if c.shape != (len(Qinv),) or not np.isfinite(c).all():
+        raise ValueError(f"{kind}: center must be a finite {len(Qinv)}-vector")
+    a = _origin_margin(Qinv, c)
+    if not a > 0.0:
+        raise ValueError(f"{kind}: origin must be strictly interior "
+                         f"(1 - c' Q^-1 c = {a:.3e})")
 
 
 def _offset_quadric_gauge(pts, Qinv, center):
     """Exact gauge of {y : (y-c)' Qinv (y-c) <= 1} about the origin."""
     c = center
-    a = 1.0 - c @ Qinv @ c
+    a = _origin_margin(Qinv, c)
     if a <= 0:
         raise ValueError("origin is not interior to the body")
     Qc = Qinv @ c
@@ -767,7 +817,9 @@ class Ellipsoid(_ClosedGauge):
     def __init__(self, Q, center=None, **kw):
         Q = np.asarray(Q, dtype=float)
         dim = Q.shape[0]
-        if Q.shape != (dim, dim) or not np.allclose(Q, Q.T, atol=1e-12):
+        if Q.shape != (dim, dim) or not np.isfinite(Q).all():
+            raise ValueError("Q must be a finite square matrix")
+        if not np.allclose(Q, Q.T, atol=1e-12):
             raise ValueError("Q must be a symmetric matrix")
         # the tangent block reads only the upper triangle, the support
         # function all of Q: both see its symmetric part
@@ -780,7 +832,7 @@ class Ellipsoid(_ClosedGauge):
         self.Qinv = np.linalg.inv(Q)
         self._Q_upper = tuple(Q[np.triu_indices(dim)].tolist())
         self.center = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
-        self._validate_positive()
+        _check_origin_interior(self.kind, self.Qinv, self.center)
 
     @classmethod
     def from_semiaxes(cls, *axes, center=None, **kw):
@@ -1140,6 +1192,14 @@ def difference_body(G):
     return MinkowskiSum(G, Dilate(G, -1.0))
 
 
+def _is_difference_body(K, G):
+    """Whether K is ``difference_body(G)`` with closed-form blocks: its
+    tangent block at u is then G's at u plus G's at -u, entry by entry."""
+    return type(K) is MinkowskiSum and type(K.right) is Dilate and \
+        K.left is G and K.right.body is G and K.right.factor == -1.0 and \
+        K.derivative_mode == K.right.derivative_mode == "analytic"
+
+
 # ---------------------------------------------------------------------------
 # curvature
 
@@ -1161,8 +1221,11 @@ class CurvatureData:
         return f"CurvatureData(u={self.u}, kappa={self.kappa})"
 
 
-# The algebra below runs on the entries of a tangent block, (r11,) or
-# (r11, r12, r22), each a float or an array: one form for both callers.
+# ``curvature_many``'s algebra on the entries of a stack of tangent blocks,
+# (r11,) or (r11, r12, r22), each an array.  For a single direction the
+# scalar ``_curvature`` fuses the same arithmetic and comparisons into one
+# routine; TestCurvatureMany::test_rows_equal_curvature_bit_for_bit pins
+# the two paths to each other.
 
 def _det(R):
     return R[0] if len(R) == 1 else R[0] * R[2] - R[1] * R[1]
@@ -1180,8 +1243,8 @@ def _degenerate(R, det_r):
     """det R < 1e-12 max(1, |r_ij|)^(N-1): a flat or infinitely curved point.
 
     Rounding is monotone, so det R is below 1e-12 times the power of the
-    largest entry exactly when it is below that product for some entry;
-    tested entry by entry, the same expression serves floats and arrays.
+    largest entry exactly when it is below that product for some entry,
+    so the entries are tested one by one, each over the whole stack.
     """
     flat, one = det_r < 1e-12, len(R) == 1
     for r in R:
@@ -1200,16 +1263,46 @@ def _curvature(R, u):
     """Entries of R and S = R^-1, and kappa = det S, from the entries R of
     a tangent block at the direction u (a tuple of floats).  Raises
     SingularCurvature where the data is degenerate (see ``curvature``).
+
+    The finiteness test, det R, the comparisons of ``_degenerate`` in its
+    order and the adjugate of ``_inverse``, written out on floats; r * r
+    is |r| * |r| bit for bit, as the sign does not enter a product's
+    magnitude.
     """
-    if not all(map(math.isfinite, R)):
-        raise SingularCurvature(f"support Hessian not finite at u={u}",
-                                direction=np.array(u))
-    det_r = _det(R)
-    if _degenerate(R, det_r):
-        raise SingularCurvature(
-            f"degenerate reverse Weingarten matrix at u={u} (det R = {det_r:.3e})",
-            direction=np.array(u))
-    return R, _inverse(R, det_r), 1.0 / det_r
+    if len(R) == 1:
+        (r11,) = R
+        if not math.isfinite(r11):
+            raise _singular(u)
+        if r11 < 1e-12 or r11 < 1e-12 * abs(r11):
+            raise _singular(u, r11)
+        return R, (1.0 / r11,), 1.0 / r11
+    r11, r12, r22 = R
+    if not (math.isfinite(r11) and math.isfinite(r12) and math.isfinite(r22)):
+        raise _singular(u)
+    det_r = r11 * r22 - r12 * r12
+    if det_r < 1e-12 or det_r < 1e-12 * (r11 * r11) or \
+            det_r < 1e-12 * (r12 * r12) or det_r < 1e-12 * (r22 * r22):
+        raise _singular(u, det_r)
+    return R, (r22 / det_r, -r12 / det_r, r11 / det_r), 1.0 / det_r
+
+
+def _singular(u, det_r=None):
+    """``_curvature``'s error at u: non-finite data, or else det R."""
+    if det_r is None:
+        return SingularCurvature(f"support Hessian not finite at u={u}",
+                                 direction=np.array(u))
+    return SingularCurvature(
+        f"degenerate reverse Weingarten matrix at u={u} (det R = {det_r:.3e})",
+        direction=np.array(u))
+
+
+def _direction_frame(u, dim, frame):
+    """The validated u and the columns of its frame: the memoized
+    ``tangent_frame`` when frame is None, else the caller's, checked."""
+    if frame is None:
+        return _direction(u, dim)
+    u = _unit(u, dim)
+    return u, _frame_columns(frame, u)
 
 
 def reverse_weingarten(body, u, frame=None):
@@ -1219,8 +1312,7 @@ def reverse_weingarten(body, u, frame=None):
     orthogonal to u (the frame of -u is allowed, which lets antipodal
     curvatures share a basis); any other frame raises ValueError.
     """
-    u = _unit(u, body.dim)
-    E = _frame(u) if frame is None else _frame_columns(frame, u)
+    u, E = _direction_frame(u, body.dim, frame)
     return _block_matrix(body._tangent_block(u, E)), _frame_matrix(E)
 
 
@@ -1233,8 +1325,7 @@ def curvature(body, u, frame=None):
     two dimensions, so the determinant and inverse are closed forms on the
     body's tangent block; the frame is as in ``reverse_weingarten``.
     """
-    u = _unit(u, body.dim)
-    E = _frame(u) if frame is None else _frame_columns(frame, u)
+    u, E = _direction_frame(u, body.dim, frame)
     R, S, kappa = _curvature(body._tangent_block(u, E), u)
     return CurvatureData(np.array(u), _frame_matrix(E), _block_matrix(R),
                          _block_matrix(S), kappa)

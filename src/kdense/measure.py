@@ -13,6 +13,7 @@ points K's bounds leave open in every copy share one sphere search.
 """
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -83,6 +84,9 @@ def _replicate_map(fn, replicates):
 
 _SOBOL_CACHE = {}
 _SOBOL_CACHE_MAX = 32
+# replicate threads insert and evict at once: eviction reads the oldest key
+# and pops it, which must not interleave with another thread's writes
+_SOBOL_LOCK = threading.Lock()
 
 
 def _sobol(dim, n, seed, replicate):
@@ -98,9 +102,14 @@ def _sobol(dim, n, seed, replicate):
     m = int(np.log2(n))
     pts = eng.random_base2(m) if 2 ** m == n else eng.random(n)
     pts.flags.writeable = False
-    if len(_SOBOL_CACHE) >= _SOBOL_CACHE_MAX:
-        _SOBOL_CACHE.pop(next(iter(_SOBOL_CACHE)))
-    _SOBOL_CACHE[key] = pts
+    with _SOBOL_LOCK:
+        # another thread may have stored the same stream meanwhile
+        hit = _SOBOL_CACHE.get(key)
+        if hit is not None:
+            return hit
+        if len(_SOBOL_CACHE) >= _SOBOL_CACHE_MAX:
+            _SOBOL_CACHE.pop(next(iter(_SOBOL_CACHE)))
+        _SOBOL_CACHE[key] = pts
     return pts
 
 
@@ -247,7 +256,12 @@ def _copy_counts(G, K, copies, n, replicates, seed):
         return q.compress(keep, axis=0)
 
     def hits(inner):
-        sets = K.contains_many(near_box((inner - x) / r) for x, r in copies)
+        # every copy's (p - x) / r goes to one buffer, rounded as the
+        # plain expression; near_box copies its rows out before the next
+        q = np.empty_like(inner)
+        sets = K.contains_many(
+            near_box(np.divide(np.subtract(inner, x, out=q), r, out=q))
+            for x, r in copies)
         return [int(np.count_nonzero(h)) for h in sets]
 
     return _qmc_pass(G, n, replicates, seed, columns=hits)

@@ -1,5 +1,6 @@
 """Tests of the identity-check battery."""
 
+import copy
 import math
 
 import numpy as np
@@ -194,7 +195,8 @@ class TestShapeOperatorIdentities:
 
     def test_each_block_evaluated_once(self, monkeypatch):
         # the sum identity evaluates A and B once and adds their blocks;
-        # kp1 evaluates K's two summands, then G at u and at -u
+        # kp1 evaluates G at u and at -u, and adds them for K = G + (-G)
+        # or evaluates any other K on its own
         calls = []
         block = Ellipsoid._tangent_block_impl
 
@@ -213,7 +215,34 @@ class TestShapeOperatorIdentities:
                 assert calls == [A, B]
                 calls.clear()
                 kp1_check(A, u, K=K)
-                assert calls == [A] * 4
+                assert calls == [A] * 2
+                twin = copy.copy(A)
+                calls.clear()
+                kp1_check(A, u, K=difference_body(twin))
+                assert calls == [A, A, twin, twin]
+
+    def test_kp1_difference_body_blocks_bit_exact(self):
+        # K's block as G's at u plus G's at -u equals the one K evaluates
+        # itself, which a difference body of a copy of G does; singular
+        # directions raise the same error either way
+        fd = dict(derivative_mode="finite-difference")
+        bodies = [Ellipsoid.from_semiaxes(2.0, 1.0, center=[0.3, -0.2]),
+                  Ellipsoid.from_semiaxes(2.0, 1.0, 1.5, center=[0.1, 0.0, -0.2]),
+                  _random_ellipsoid(np.random.default_rng(9), 3),
+                  FourierBody2D([1.0, 0.0, 0.0, 0.1]),
+                  FourierBody2D([1.0, 0.0, 0.0, 0.1], **fd),
+                  Superellipse2D(4.0), ReuleauxTriangle2D(1.0)]
+        for G in bodies:
+            U = np.vstack([sphere_directions(G.dim, 24), np.eye(G.dim)])
+            for u in U:
+                outcomes = []
+                for K in (None, difference_body(G),
+                          difference_body(copy.copy(G))):
+                    try:
+                        outcomes.append(kp1_check(G, u, K=K))
+                    except (SingularCurvature, ValueError) as e:
+                        outcomes.append(repr(e))
+                assert outcomes[0] == outcomes[1] == outcomes[2], (G, u)
 
     def test_singular_and_invalid_inputs_raise(self):
         # cli.run_identities reports a SingularCurvature as a skipped row

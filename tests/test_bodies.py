@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from kdense.bodies import (Ball, ConvexBody, Dilate, Ellipsoid, FourierBody2D,
                            MEMBERSHIP_TOL, MinkowskiSum, ReuleauxTriangle2D,
                            Superellipse2D, SupportRows,
-                           Translate, _optimality_residual, as_direction,
+                           Translate, _as_directions, _direction, _frame,
+                           _optimality_residual, _unit, as_direction,
                            boundary_point, boundary_points, curvature,
                            curvature_many, difference_body, normal_at,
                            reverse_weingarten, sphere_directions,
                            support_ratio_max, tangent_frame)
-from kdense import measure
+from kdense import bodies, measure
 from kdense.analysis import krantz_parks_check
 from kdense.errors import NonUniqueSupport, SingularCurvature
 from kdense.measure import bounding_box
@@ -102,6 +103,93 @@ class TestDirections:
         assert E.shape == (dim, dim - 1)
         assert np.allclose(E.T @ E, np.eye(dim - 1), atol=1e-12)
         assert np.allclose(E.T @ u, 0.0, atol=1e-12)
+
+
+class TestDirectionMemo:
+    """``_direction``: validated unit tuples and frames, memoized by the
+    bytes of the float array."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        bodies._DIRECTION_MEMO.clear()
+        yield
+        bodies._DIRECTION_MEMO.clear()
+
+    @staticmethod
+    def _bits(u, E):
+        return np.array(u).tobytes(), np.array(E).tobytes()
+
+    @staticmethod
+    def _rows(dim, n):
+        """n random rows a hair off unit length, so the normalization
+        divides; from a generator of their own, so the draws of the shared
+        RNG that later tests read stay as they were."""
+        rng = np.random.default_rng([15, dim, n])
+        V = rng.normal(size=(n, dim))
+        V /= np.linalg.norm(V, axis=1, keepdims=True)
+        return V * (1.0 + rng.uniform(-5e-10, 5e-10, (n, 1)))
+
+    @classmethod
+    def _inputs(cls, dim):
+        """Random rows as lists, tuples and float64 arrays; and float32
+        arrays, which are unit within 1e-9 only for the axes and a few
+        random rows."""
+        V = cls._rows(dim, 64)
+        W = np.vstack([np.eye(dim), -np.eye(dim), cls._rows(dim, 4000)])
+        W = W.astype(np.float32)
+        n = np.sqrt(np.einsum("ij,ij->i", W.astype(float), W.astype(float)))
+        W = W[np.abs(n - 1.0) <= 1e-9]
+        assert len(W) > 2 * dim
+        return ([v.tolist() for v in V] + [tuple(v.tolist()) for v in V] +
+                list(V) + list(W))
+
+    def test_hit_equals_miss(self):
+        for dim in (2, 3):
+            for u in self._inputs(dim):
+                v = _unit(u, dim)
+                expect = self._bits(v, _frame(v))
+                bodies._DIRECTION_MEMO.clear()
+                miss = _direction(u, dim)
+                hit = _direction(u, dim)
+                assert hit is miss
+                assert self._bits(*miss) == expect, u
+
+    def test_invalid_input_raises_every_time_and_is_not_stored(self):
+        bad = [[math.nan, 0.0], [0.0, math.nan, 0.0], [1.0, 1.0],
+               [0.5, 0.5, 0.5], [1.0, 0.0, 0.0, 0.0], [[1.0, 0.0]], [1.0]]
+        for u in bad:
+            for dim in (2, 3):
+                for _ in range(3):
+                    with pytest.raises(ValueError):
+                        _direction(u, dim)
+        assert not bodies._DIRECTION_MEMO
+        # bytes valid at dim 2 still raise at dim 3, through the public
+        # entries too
+        u = np.array([0.6, 0.8])
+        _direction(u, 2)
+        curvature(Ellipsoid.from_semiaxes(2.0, 1.0), u)
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                _direction(u, 3)
+            with pytest.raises(ValueError):
+                curvature(Ellipsoid.from_semiaxes(2.0, 1.0, 1.5), u)
+            with pytest.raises(ValueError):
+                krantz_parks_check(Ball(1.0, dim=3), Ball(0.5, dim=3), u)
+        assert len(bodies._DIRECTION_MEMO) == 1
+
+    def test_size_stays_within_cap(self):
+        cap = bodies.DIRECTION_MEMO_MAX
+        for u in sphere_directions(2, cap + 1):
+            _direction(u, 2)
+            assert len(bodies._DIRECTION_MEMO) <= cap
+        assert 0 < len(bodies._DIRECTION_MEMO) <= cap
+
+    def test_as_direction_equals_stacked_rows(self):
+        # the scalar norm u.dot(u) and the stacked batched matmul agree
+        for dim in (2, 3):
+            V = self._rows(dim, 10 ** 4)
+            one = np.array([as_direction(v) for v in V])
+            assert one.tobytes() == _as_directions(V, dim).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +305,37 @@ class TestValidation:
     def test_origin_must_be_interior(self):
         with pytest.raises(ValueError):
             Ball(1.0, center=[2.0, 0.0])
+
+    def test_origin_interior_decided_in_closed_form(self):
+        # the origin lies just outside the ball and on the ellipse: a
+        # sample of support values missed both, and the gauge then raised
+        for make in (lambda: Ball(1.0, center=[1.00001, 0.0]),
+                     lambda: Ball(1.0, center=[0.0, 0.0, 1.0]),
+                     lambda: Ellipsoid(np.diag([4.0, 1.0]), center=[2.0, 0.0]),
+                     lambda: Ellipsoid.from_semiaxes(2.0, 1.0, 1.5,
+                                                     center=[0.0, 0.0, 1.5])):
+            with pytest.raises(ValueError, match="interior"):
+                make()
+        # just inside, every body has a finite positive gauge
+        for body in (Ball(1.0, center=[0.99999, 0.0]),
+                     Ellipsoid(np.diag([4.0, 1.0]), center=[1.9999, 0.0])):
+            g = body.gauge_many(sphere_directions(2, 16))
+            assert np.all(np.isfinite(g) & (g > 0.0))
+
+    @pytest.mark.parametrize("make", [
+        lambda: Ball(math.nan), lambda: Ball(math.inf),
+        lambda: Ball(1.0, center=[math.nan, 0.0]),
+        lambda: Ball(1.0, center=[0.0, math.inf]),
+        lambda: Ellipsoid(np.diag([math.inf, 1.0])),
+        lambda: Ellipsoid(np.diag([math.nan, 1.0])),
+        lambda: Ellipsoid(np.eye(2), center=[math.inf, 0.0]),
+        lambda: Ellipsoid.from_semiaxes(1.0, 1.0, 1.0,
+                                        center=[0.0, math.nan, 0.0]),
+        lambda: Ellipsoid(np.eye(2), center=[0.0, 0.0, 0.0]),
+    ])
+    def test_non_finite_or_misshaped_quadric_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
 
     def test_ellipsoid_needs_spd(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,8 @@
 import math
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -360,6 +362,39 @@ replicates = 2
         assert main(["verify", str(cfg), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and "factor" in err
+
+    @pytest.mark.parametrize("body", [
+        "kind = ball\nradius = nan", "kind = ball\nradius = inf",
+        "kind = ball\nradius = 1.0\ncenter = inf 0",
+        "kind = ball\nradius = 1.0\ncenter = 1.00001 0",
+        "kind = ellipsoid\nsemiaxes = inf 1.0",
+        "kind = ellipsoid\nsemiaxes = 2.0 1.0\ncenter = nan 0",
+        "kind = ellipsoid\nsemiaxes = 2.0 1.0\ncenter = 2.0 0"])
+    def test_bad_quadric_rejected(self, tmp_path, capsys, body):
+        # non-finite data, or an origin outside or on the boundary
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"""
+[body g]
+{body}
+
+[experiment p]
+kind = petty
+body = g
+""")
+        assert main(["verify", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "body g" in err
+
+    def test_python_m_kdense(self, tmp_path):
+        # a checkout runs the command line without an installed script
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(SMALL.format(out=tmp_path / "unused"))
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        out = subprocess.run([sys.executable, "-m", "kdense", "verify",
+                              str(cfg), "--out", str(tmp_path / "o")],
+                             env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert (tmp_path / "o" / "summary.csv").exists()
 
     def test_reflect_kind_is_dilate_by_minus_one(self, tmp_path):
         # configs keep the kind 'reflect'; it builds Dilate(of, -1)

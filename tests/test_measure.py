@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.special import gamma
 from scipy.stats import qmc as scipy_qmc
 
 import kdense
-from kdense import qmc
+from kdense import measure, qmc
 from kdense.analysis import halfvolume_condition_check, kdense_spread
 
 from kdense.bodies import (Ball, ConvexBody, Dilate, Ellipsoid, MinkowskiSum,
@@ -140,6 +141,49 @@ class TestSobol:
         assert _sobol(2, 2 ** 10, 0, 0) is pts
         with pytest.raises(ValueError):
             pts[0, 0] = 0.5
+
+    def test_concurrent_eviction(self):
+        # replicate threads evict from a full cache at once; with the
+        # switch interval at 1 us an unlocked pop of the oldest key raised
+        # KeyError or "dictionary changed size during iteration"
+        threads, keys, trials = 8, 8, 50
+        cache = measure._SOBOL_CACHE
+        saved, interval = dict(cache), sys.getswitchinterval()
+        errors, got = [], {}
+
+        def work(trial, t, barrier):
+            barrier.wait()
+            try:
+                for k in range(keys):
+                    got[trial, t, k] = _sobol(2, 4, trial, t * keys + k)
+            except (KeyError, RuntimeError) as e:  # the race under test
+                errors.append(repr(e))
+
+        try:
+            sys.setswitchinterval(1e-6)
+            for trial in range(trials):
+                cache.clear()
+                for i in range(measure._SOBOL_CACHE_MAX):
+                    cache[(0, 0, -1, i)] = np.empty((0, 2))
+                barrier = threading.Barrier(threads, timeout=10.0)
+                pool = [threading.Thread(target=work, args=(trial, t, barrier))
+                        for t in range(threads)]
+                for th in pool:
+                    th.start()
+                for th in pool:
+                    th.join(timeout=10.0)
+                assert not any(th.is_alive() for th in pool)
+                assert not errors, (trial, errors[:3])
+                assert len(got) == (trial + 1) * threads * keys
+                assert len(cache) <= measure._SOBOL_CACHE_MAX
+            # every thread got the stream a serial call draws
+            for (trial, t, k), pts in list(got.items())[::37]:
+                cache.clear()
+                assert np.array_equal(pts, _sobol(2, 4, trial, t * keys + k))
+        finally:
+            sys.setswitchinterval(interval)
+            cache.clear()
+            cache.update(saved)
 
     def test_import_does_not_load_scipy_stats(self):
         src = os.path.dirname(os.path.dirname(kdense.__file__))

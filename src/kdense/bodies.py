@@ -2,8 +2,8 @@
 
 Every body exposes the 1-homogeneous extension H(v) = |v| h(v/|v|) of its
 support function, plus its gradient (the boundary point with a given
-outward normal) and Hessian.  The second-order primitive of each analytic
-kind is the tangent block R = E' H(u) E in an orthonormal frame E of the
+outward normal) and Hessian.  The second-order primitive of each kind is
+the tangent block R = E' H(u) E in an orthonormal frame E of the
 plane orthogonal to u (the reverse Weingarten map), built in closed form
 once, on components: each component of u and E is a float or an array of
 equal length, so one form serves a single direction (``curvature``, the
@@ -13,11 +13,11 @@ the stack; for one direction ``_curvature`` fuses them into a single scalar
 routine, and TestCurvatureMany::test_rows_equal_curvature_bit_for_bit pins
 the two paths to each other.  A single direction is validated once and
 memoized with its frame (``_direction``).  The Hessian is E R E' / |v|.
-Bodies in finite-difference mode take the Hessian by central differences
-and project it, one direction at a time.  The Minkowski algebra (sums,
-homotheties sK with s != 0, so -K too, and translations) acts linearly on H
-and on the tangent block.  Balls and ellipsoids decide that the origin is
-interior in closed form.  One sphere search for the largest support ratio
+Every kind gives its gradient and tangent block in closed form.  The
+Minkowski algebra (sums, homotheties sK with s != 0, so -K too, and
+translations) acts linearly on H and on the tangent block.  Balls and
+ellipsoids decide that the origin is interior in closed form, translates
+by the exact gauge.  One sphere search for the largest support ratio
 serves gauges, normals and circumscribed ratios, whose scan also screens
 touch points.  ``gauge_many``
 is exact; membership is the bounded path.  A 2D point is bracketed by the
@@ -33,7 +33,7 @@ import operator
 
 import numpy as np
 
-from .errors import NonUniqueSupport, SingularCurvature
+from .errors import SingularCurvature
 
 # how far a caller's frame may be from orthonormal and orthogonal to u
 UNIT_TOL = 1e-12
@@ -399,20 +399,16 @@ def _as_arrays(u):
 class ConvexBody:
     """A convex body with the origin in its interior, given by support data.
 
-    Subclasses implement ``_support_impl`` (vectorized over rows) and may
-    provide an analytic gradient and tangent block; otherwise central
-    finite differences on the homogeneous extension are used.
+    A kind defines ``_support_impl`` and ``_gradient_impl`` (vectorized
+    over rows) and ``_tangent_block``, each in closed form.
     """
 
     kind = "abstract"
 
-    def __init__(self, dim, derivative_mode="analytic"):
+    def __init__(self, dim):
         if dim not in (2, 3):
             raise ValueError("only dimensions 2 and 3 are supported")
-        if derivative_mode not in ("analytic", "finite-difference"):
-            raise ValueError(f"unknown derivative_mode {derivative_mode!r}")
         self.dim = dim
-        self.derivative_mode = derivative_mode
         self._grid_cache = None
         self._cell_cache = None
 
@@ -434,33 +430,26 @@ class ConvexBody:
     # -- derivatives of the homogeneous extension ---------------------------
 
     def _gradient_impl(self, V):
-        return None
+        raise NotImplementedError
 
     def gradient_hom(self, V):
         """Gradient of H at each row of V; 0-homogeneous (the boundary point)."""
         V = np.atleast_2d(np.asarray(V, dtype=float))
-        if self.derivative_mode == "analytic":
-            g = self._gradient_impl(V)
-            if g is not None:
-                return g
-        return self._fd_gradient(V)
+        return self._gradient_impl(V)
 
     def hessian_hom(self, v):
         """Hessian of H at v; (-1)-homogeneous, with v in its kernel.
 
-        For analytic bodies it is E R E' / |v|, with R the tangent block at
-        u = v / |v| in E = tangent_frame(u).
+        It is E R E' / |v|, with R the tangent block at u = v / |v| in
+        E = tangent_frame(u).
         """
         v = np.asarray(v, dtype=float)
-        if self.derivative_mode == "analytic":
-            n = math.sqrt(v @ v)
-            u = tuple((v / n).tolist())
-            E = _frame(u)
-            R = self._tangent_block_impl(u, E)
-            if R is not None:
-                E = _frame_matrix(E)
-                return E @ _block_matrix(R) @ E.T / n
-        return self._fd_hessian(v)
+        n = math.sqrt(v @ v)
+        u = tuple((v / n).tolist())
+        E = _frame(u)
+        R = self._tangent_block(u, E)
+        E = _frame_matrix(E)
+        return E @ _block_matrix(R) @ E.T / n
 
     def _tangent_block(self, u, E):
         """Entries of the tangent block R = E' H(u) E: (r11,) in 2D and the
@@ -469,65 +458,9 @@ class ConvexBody:
         u is a unit direction and E the columns of an orthonormal basis of
         the plane orthogonal to it, both given by components: each one a
         float, or for a stack of directions an array of equal length.  The
-        entries come back in the same type.  Analytic bodies build them in
-        closed form from the components; finite-difference bodies project
-        ``hessian_hom``, one direction at a time.
+        entries come back in the same type.
         """
-        if self.derivative_mode == "analytic":
-            R = self._tangent_block_impl(u, E)
-            if R is not None:
-                return R
-        if not isinstance(u[0], np.ndarray):
-            return self._fd_block(u, E)
-        u = [c.tolist() for c in u]
-        E = [[c.tolist() for c in e] for e in E]
-        rows = [self._fd_block([c[i] for c in u],
-                               [[c[i] for c in e] for e in E])
-                for i in range(len(u[0]))]
-        return tuple(np.array(r) for r in zip(*rows))
-
-    def _tangent_block_impl(self, u, E):
-        return None
-
-    def _fd_block(self, u, E):
-        """The projection E' H(u) E of ``hessian_hom`` at one direction,
-        with its off-diagonal entry symmetrized."""
-        E = _frame_matrix(E)
-        P = (E.T @ self.hessian_hom(np.array(u)) @ E).tolist()
-        if len(P) == 1:
-            return (P[0][0],)
-        (r11, r12), (r21, r22) = P
-        return (r11, 0.5 * (r12 + r21), r22)
-
-    def _fd_gradient(self, V):
-        scale = np.linalg.norm(V, axis=1, keepdims=True)
-        step = 1e-6 * np.maximum(scale, 1e-30)
-        g = np.empty_like(V)
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = 1.0
-            g[:, i] = (self.support_hom(V + step * e) -
-                       self.support_hom(V - step * e)) / (2.0 * step[:, 0])
-        return g
-
-    def _fd_hessian(self, v):
-        # step 1e-4 * h(u): truncation/rounding balance for double precision
-        h0 = float(self.support_hom(v[None, :])[0])
-        step = 1e-4 * max(abs(h0), 1e-30)
-        n = self.dim
-        H = np.empty((n, n))
-        eye = np.eye(n)
-        for i in range(n):
-            for j in range(i, n):
-                ei, ej = step * eye[i], step * eye[j]
-                if i == j:
-                    f = self.support_hom(np.vstack([v + 2 * ei, v, v - 2 * ei]))
-                    H[i, i] = (f[0] - 2 * f[1] + f[2]) / (4 * step * step)
-                else:
-                    f = self.support_hom(np.vstack([v + ei + ej, v + ei - ej,
-                                                    v - ei + ej, v - ei - ej]))
-                    H[i, j] = H[j, i] = (f[0] - f[1] - f[2] + f[3]) / (4 * step * step)
-        return H
+        raise NotImplementedError
 
     # -- gauge (Minkowski functional) ---------------------------------------
 
@@ -623,12 +556,8 @@ class ConvexBody:
         through facet i or i+1, whose ratios <p, u_j> / H(u_j) give its
         gauge: that is lo, the full scan's maximum.  The chord X_i X_{i+1}
         lies in K, so its gauge is hi.  The maximizing normal lies between
-        u_i and u_{i+1}; idx is the grid index of the better one.
-
-        hi is certified only as far as the boundary points X_i are exact.
-        A finite-difference body's carry the error of its central-difference
-        gradient: on a finite-difference (2, 1) ellipse the exact gauge
-        exceeded hi by up to 1.4e-10 relative, below MEMBERSHIP_TOL.
+        u_i and u_{i+1}; idx is the grid index of the better one.  Every
+        kind's X_i are closed forms, so hi holds to rounding.
         """
         ux, uy, vx, vy, wx, wy = self._gauge_cells()[2]
         x, y = pts[:, 0], pts[:, 1]
@@ -684,10 +613,7 @@ class ConvexBody:
         per set, equal to it bit for bit: bounds set by set, then one sphere
         search for the open rows of all sets, each row on its own.  Only a
         set's verdicts and open rows outlive its bounds, so sets made on
-        demand are never all held.  The 2D upper bound is only as exact as
-        the grid boundary points (``_gauge_bracket``): on a finite-difference
-        ellipse a point counted inside had a gauge 1.4e-10 relative above
-        1 + MEMBERSHIP_TOL."""
+        demand are never all held."""
         out, todo = [], []
         for p in point_sets:
             p = _point_rows(p)
@@ -736,13 +662,13 @@ class _ClosedGauge(ConvexBody):
 class Ball(_ClosedGauge):
     kind = "ball"
 
-    def __init__(self, radius, center=None, dim=2, **kw):
+    def __init__(self, radius, center=None, dim=2):
         if center is not None:
             center = np.asarray(center, dtype=float)
             dim = center.shape[0]
         else:
             center = np.zeros(dim)
-        super().__init__(dim, **kw)
+        super().__init__(dim)
         if not (math.isfinite(radius) and radius > 0):
             raise ValueError(
                 f"radius must be positive and finite, not {radius}")
@@ -757,7 +683,7 @@ class Ball(_ClosedGauge):
     def _gradient_impl(self, V):
         return self.radius * V / np.linalg.norm(V, axis=1, keepdims=True) + self.center
 
-    def _tangent_block_impl(self, u, E):
+    def _tangent_block(self, u, E):
         r = self.radius
         return (r,) if self.dim == 2 else (r, 0.0, r)
 
@@ -814,7 +740,7 @@ class Ellipsoid(_ClosedGauge):
 
     kind = "ellipsoid"
 
-    def __init__(self, Q, center=None, **kw):
+    def __init__(self, Q, center=None):
         Q = np.asarray(Q, dtype=float)
         dim = Q.shape[0]
         if Q.shape != (dim, dim) or not np.isfinite(Q).all():
@@ -827,7 +753,7 @@ class Ellipsoid(_ClosedGauge):
         w = np.linalg.eigvalsh(Q)
         if np.min(w) <= 0:
             raise ValueError("Q must be positive definite")
-        super().__init__(dim, **kw)
+        super().__init__(dim)
         self.Q = Q
         self.Qinv = np.linalg.inv(Q)
         self._Q_upper = tuple(Q[np.triu_indices(dim)].tolist())
@@ -835,8 +761,8 @@ class Ellipsoid(_ClosedGauge):
         _check_origin_interior(self.kind, self.Qinv, self.center)
 
     @classmethod
-    def from_semiaxes(cls, *axes, center=None, **kw):
-        return cls(np.diag(np.asarray(axes, dtype=float) ** 2), center=center, **kw)
+    def from_semiaxes(cls, *axes, center=None):
+        return cls(np.diag(np.asarray(axes, dtype=float) ** 2), center=center)
 
     def _support_impl(self, V):
         s = np.sqrt(np.einsum("ij,ij->i", V @ self.Q, V))
@@ -847,7 +773,7 @@ class Ellipsoid(_ClosedGauge):
         s = np.sqrt(np.einsum("ij,ij->i", QV, V))
         return QV / s[:, None] + self.center
 
-    def _tangent_block_impl(self, u, E):
+    def _tangent_block(self, u, E):
         # E' (Q/s - Qu u'Q/s^3) E with s^2 = u'Qu, from the upper triangle
         # of Q; in 2D the one entry is det Q / s^3, because
         # e'Qe u'Qu - (e'Qu)^2 = det Q det[u e]^2 and det[u e] = +-1
@@ -887,19 +813,11 @@ class Ellipsoid(_ClosedGauge):
 
 
 class _Theta2DBody(ConvexBody):
-    """2D bodies defined by an angular support profile h(theta)."""
+    """2D bodies defined by an angular support profile h(theta); a kind
+    defines h_theta and its derivatives dh_theta and d2h_theta."""
 
-    def __init__(self, **kw):
-        super().__init__(2, **kw)
-
-    def h_theta(self, t):
-        raise NotImplementedError
-
-    def dh_theta(self, t):
-        return None
-
-    def d2h_theta(self, t):
-        return None
+    def __init__(self):
+        super().__init__(2)
 
     def _support_impl(self, V):
         t = np.arctan2(V[:, 1], V[:, 0])
@@ -908,21 +826,16 @@ class _Theta2DBody(ConvexBody):
     def _gradient_impl(self, V):
         t = np.arctan2(V[:, 1], V[:, 0])
         dh = self.dh_theta(t)
-        if dh is None:
-            return None
         r = np.linalg.norm(V, axis=1, keepdims=True)
         u = V / r
         uperp = np.column_stack([-u[:, 1], u[:, 0]])
         return self.h_theta(t)[:, None] * u + dh[:, None] * uperp
 
-    def _tangent_block_impl(self, u, E):
+    def _tangent_block(self, u, E):
         # the radius of curvature h + h''
         (x, y), single = _as_arrays(u)
         t = np.arctan2(y, x)
-        d2h = self.d2h_theta(t)
-        if d2h is None:
-            return None
-        r = self.h_theta(t) + d2h
+        r = self.h_theta(t) + self.d2h_theta(t)
         return (float(r[0]) if single else r,)
 
 
@@ -931,8 +844,8 @@ class FourierBody2D(_Theta2DBody):
 
     kind = "fourier"
 
-    def __init__(self, cos_coeffs, sin_coeffs=None, **kw):
-        super().__init__(**kw)
+    def __init__(self, cos_coeffs, sin_coeffs=None):
+        super().__init__()
         self.a = np.asarray(cos_coeffs, dtype=float)
         self.b = (np.zeros_like(self.a) if sin_coeffs is None
                   else np.asarray(sin_coeffs, dtype=float))
@@ -985,8 +898,8 @@ class Superellipse2D(_ClosedGauge):
 
     kind = "superellipse"
 
-    def __init__(self, exponent, **kw):
-        super().__init__(2, **kw)
+    def __init__(self, exponent):
+        super().__init__(2)
         if exponent <= 2:
             raise ValueError("exponent must exceed 2")
         self.p = float(exponent)
@@ -1004,7 +917,7 @@ class Superellipse2D(_ClosedGauge):
         psi = np.sign(V) * np.abs(V) ** (q - 1.0)
         return psi * (s ** (1.0 / q - 1.0))[:, None]
 
-    def _tangent_block_impl(self, u, E):
+    def _tangent_block(self, u, E):
         # radius of curvature (q-1) |xy|^(q-2) (|x|^q + |y|^q)^(1/q-2) at a
         # unit u = (x, y); infinite on the axes, where the boundary is flat
         q = self.q
@@ -1036,8 +949,8 @@ class ReuleauxTriangle2D(_ClosedGauge, _Theta2DBody):
 
     kind = "reuleaux"
 
-    def __init__(self, width=1.0, **kw):
-        super().__init__(**kw)
+    def __init__(self, width=1.0):
+        super().__init__()
         if width <= 0:
             raise ValueError("width must be positive")
         self.width = float(width)
@@ -1104,10 +1017,10 @@ def _block_sum(A, B):
 class MinkowskiSum(ConvexBody):
     kind = "minkowski_sum"
 
-    def __init__(self, left, right, **kw):
+    def __init__(self, left, right):
         if left.dim != right.dim:
             raise ValueError("summands must share a dimension")
-        super().__init__(left.dim, **kw)
+        super().__init__(left.dim)
         self.left = left
         self.right = right
         # positivity is inherited: the support functions add
@@ -1118,7 +1031,7 @@ class MinkowskiSum(ConvexBody):
     def _gradient_impl(self, V):
         return self.left.gradient_hom(V) + self.right.gradient_hom(V)
 
-    def _tangent_block_impl(self, u, E):
+    def _tangent_block(self, u, E):
         return _block_sum(self.left._tangent_block(u, E),
                           self.right._tangent_block(u, E))
 
@@ -1132,8 +1045,8 @@ class Dilate(ConvexBody):
 
     kind = "dilate"
 
-    def __init__(self, body, factor, **kw):
-        super().__init__(body.dim, **kw)
+    def __init__(self, body, factor):
+        super().__init__(body.dim)
         factor = float(factor)
         if not (math.isfinite(factor) and factor != 0.0):
             raise ValueError("dilation factor must be finite and nonzero, "
@@ -1148,7 +1061,7 @@ class Dilate(ConvexBody):
     def _gradient_impl(self, V):
         return self.factor * self.body.gradient_hom(self._sign * V)
 
-    def _tangent_block_impl(self, u, E):
+    def _tangent_block(self, u, E):
         # the per-direction checks call this once per u: the exact factors
         # 1 and -1 are skipped or taken as a sign flip, not multiplied
         if self._sign < 0.0:
@@ -1169,13 +1082,23 @@ class Dilate(ConvexBody):
 
 
 class Translate(ConvexBody):
+    """K + v.  The origin is strictly interior exactly when -v is strictly
+    inside K, that is when K's exact gauge of -v is below 1."""
+
     kind = "translate"
 
-    def __init__(self, body, vector, **kw):
-        super().__init__(body.dim, **kw)
+    def __init__(self, body, vector):
+        super().__init__(body.dim)
+        v = np.asarray(vector, dtype=float)
+        if v.shape != (body.dim,) or not np.isfinite(v).all():
+            raise ValueError(f"{self.kind}: vector must be a finite "
+                             f"{body.dim}-vector")
+        g = float(body.gauge_many(-v)[0])
+        if not g < 1.0:  # a NaN gauge fails too
+            raise ValueError(f"{self.kind}: origin must be strictly interior "
+                             f"(gauge of -v = {g:.6g})")
         self.body = body
-        self.vector = np.asarray(vector, dtype=float)
-        self._validate_positive()
+        self.vector = v
 
     def _support_impl(self, V):
         return self.body.support_hom(V) + V @ self.vector
@@ -1183,7 +1106,7 @@ class Translate(ConvexBody):
     def _gradient_impl(self, V):
         return self.body.gradient_hom(V) + self.vector
 
-    def _tangent_block_impl(self, u, E):
+    def _tangent_block(self, u, E):
         return self.body._tangent_block(u, E)
 
 
@@ -1193,11 +1116,10 @@ def difference_body(G):
 
 
 def _is_difference_body(K, G):
-    """Whether K is ``difference_body(G)`` with closed-form blocks: its
-    tangent block at u is then G's at u plus G's at -u, entry by entry."""
+    """Whether K is ``difference_body(G)``: its tangent block at u is then
+    G's at u plus G's at -u, entry by entry."""
     return type(K) is MinkowskiSum and type(K.right) is Dilate and \
-        K.left is G and K.right.body is G and K.right.factor == -1.0 and \
-        K.derivative_mode == K.right.derivative_mode == "analytic"
+        K.left is G and K.right.body is G and K.right.factor == -1.0
 
 
 # ---------------------------------------------------------------------------
@@ -1368,39 +1290,15 @@ def curvature_many(body, U):
 # boundary points
 
 def boundary_point(body, u):
-    """The boundary point of the body with outward unit normal u.
-
-    Equals the gradient of the homogeneous support extension.  When the
-    body only has finite-difference derivatives the uniqueness of the
-    supporting face is checked against a boundary sample and
-    NonUniqueSupport is raised for flat faces.
-    """
+    """The boundary point of the body with outward unit normal u: the
+    gradient of the homogeneous support extension."""
     u = as_direction(u, body.dim)
-    if body.derivative_mode == "finite-difference" or \
-            body._gradient_impl(u[None, :]) is None:
-        _check_unique_support(body, u)
     return body.gradient_hom(u[None, :])[0]
 
 
 def boundary_points(body, U):
     """Vectorized boundary points for unit directions in the rows of U."""
     return body.gradient_hom(np.atleast_2d(np.asarray(U, dtype=float)))
-
-
-def _check_unique_support(body, u):
-    U, _, _ = body._gauge_grid()
-    P = boundary_points(body, U)
-    vals = P @ u
-    scale = max(1.0, float(np.max(np.abs(P))))
-    hits = P[vals > np.max(vals) - 1e-9 * scale]
-    if len(hits) > 1:
-        # strictly convex points scatter the near-maximizers within a few
-        # grid spacings; a flat face spreads them across its full length
-        spread = np.max(np.linalg.norm(hits - hits[0], axis=1))
-        if spread > 8.0 * _grid_spacing(body.dim, len(U)) * scale:
-            raise NonUniqueSupport(
-                f"support face in direction {u} is not a single point "
-                f"(spread {spread:.3e})", points=hits)
 
 
 def normal_at(body, x):

@@ -3,7 +3,7 @@
 Exit codes: 0 on success (including failures declared expected in the
 config), 1 for configuration errors, 2 when an undeclared degenerate fit,
 non-unique contact, or identity check singular at every direction
-occurred.
+occurred; argparse's usage error for a bad command line is 2 as well.
 """
 
 import argparse
@@ -44,8 +44,9 @@ class RunState:
 
 
 def _qmc_opts(spec, overrides):
-    n = overrides.get("samples") or spec.get_int("qmc_points",
-                                                 measure.DEFAULT_QMC_POINTS)
+    n = overrides.get("samples")
+    if n is None:
+        n = spec.get_int("qmc_points", measure.DEFAULT_QMC_POINTS)
     reps = spec.get_int("replicates", measure.DEFAULT_REPLICATES)
     seed = overrides.get("seed")
     if seed is None:
@@ -278,6 +279,20 @@ def run(cfg, kinds=None, overrides=None, out_dir=None):
     return 2 if state.undeclared_failure else 0
 
 
+def _int_at_least(low):
+    """An argparse type: an integer no smaller than low."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="kdense",
@@ -295,8 +310,9 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.add_argument("config")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--samples", type=int, default=None,
+        p.add_argument("--seed", type=_int_at_least(0), default=None,
+                       help="seed override")
+        p.add_argument("--samples", type=_int_at_least(1), default=None,
                        help="qmc point-count override")
     args = parser.parse_args(argv)
     try:

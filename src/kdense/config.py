@@ -111,9 +111,9 @@ def load_config(path):
             _validate_experiment(spec)
             experiment_specs.append(spec)
     cfg = ExperimentConfig(body_specs, experiment_specs, output_dir)
-    # fail fast on dangling body references
+    # fail fast on dangling body references and bad directions
     for spec in experiment_specs:
-        cfg.body(spec.get("body")) if spec.get("body") else None
+        direction_from(spec, cfg.body(spec.get("body")).dim)
         k = spec.get("k", "difference")
         if k != "difference":
             cfg.body(k)
@@ -127,8 +127,9 @@ def _validate_experiment(spec):
         if key in spec.options and spec.get_int(key, 0) <= 0:
             raise ConfigError(f"experiment {spec.name}: key '{key}' must be "
                               "positive")
-    if "seed" in spec.options:
-        spec.get_int("seed", 0)
+    if "seed" in spec.options and spec.get_int("seed", 0) < 0:
+        raise ConfigError(f"experiment {spec.name}: key 'seed' must be "
+                          "non-negative")
 
 
 def _floats(text, name, key):
@@ -180,11 +181,15 @@ def _build_body(spec, cfg):
 
 
 def direction_from(spec, dim, key="x_direction"):
-    raw = spec.get(key)
-    if raw is None:
+    """The unit vector of a direction key, or None when the key is absent."""
+    if spec.get(key) is None:
         return None
-    vals = np.array([float(t) for t in raw.split()])
+    vals = np.array(spec.get_floats(key, ()))
     if vals.shape[0] != dim:
         raise ConfigError(f"experiment {spec.name}: key '{key}' has wrong "
                           "dimension")
-    return vals / np.linalg.norm(vals)
+    norm = np.linalg.norm(vals)
+    if not (np.isfinite(vals).all() and norm > 0.0):
+        raise ConfigError(f"experiment {spec.name}: key '{key}' must be a "
+                          "finite nonzero vector")
+    return vals / norm

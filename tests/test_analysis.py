@@ -16,6 +16,8 @@ from kdense.bodies import (Ball, Ellipsoid, FourierBody2D, ReuleauxTriangle2D,
                            difference_body, sphere_directions, tangent_frame)
 from kdense.errors import NonUniqueContact, SingularCurvature
 
+from finite_difference import FiniteDifference
+
 FAST = dict(n=2 ** 13, replicates=4, seed=0)
 RNG = np.random.default_rng(11)
 
@@ -198,13 +200,13 @@ class TestShapeOperatorIdentities:
         # kp1 evaluates G at u and at -u, and adds them for K = G + (-G)
         # or evaluates any other K on its own
         calls = []
-        block = Ellipsoid._tangent_block_impl
+        block = Ellipsoid._tangent_block
 
         def counting(self, u, E):
             calls.append(self)
             return block(self, u, E)
 
-        monkeypatch.setattr(Ellipsoid, "_tangent_block_impl", counting)
+        monkeypatch.setattr(Ellipsoid, "_tangent_block", counting)
         rng = np.random.default_rng(5)
         for dim in (2, 3):
             A, B = _random_ellipsoid(rng, dim), _random_ellipsoid(rng, dim)
@@ -225,12 +227,11 @@ class TestShapeOperatorIdentities:
         # K's block as G's at u plus G's at -u equals the one K evaluates
         # itself, which a difference body of a copy of G does; singular
         # directions raise the same error either way
-        fd = dict(derivative_mode="finite-difference")
         bodies = [Ellipsoid.from_semiaxes(2.0, 1.0, center=[0.3, -0.2]),
                   Ellipsoid.from_semiaxes(2.0, 1.0, 1.5, center=[0.1, 0.0, -0.2]),
                   _random_ellipsoid(np.random.default_rng(9), 3),
                   FourierBody2D([1.0, 0.0, 0.0, 0.1]),
-                  FourierBody2D([1.0, 0.0, 0.0, 0.1], **fd),
+                  FiniteDifference(FourierBody2D([1.0, 0.0, 0.0, 0.1])),
                   Superellipse2D(4.0), ReuleauxTriangle2D(1.0)]
         for G in bodies:
             U = np.vstack([sphere_directions(G.dim, 24), np.eye(G.dim)])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdense.bodies import (Ball, ConvexBody, Dilate, Ellipsoid, FourierBody2D,
-                           MEMBERSHIP_TOL, MinkowskiSum, ReuleauxTriangle2D,
+                           MinkowskiSum, ReuleauxTriangle2D,
                            Superellipse2D, SupportRows,
                            Translate, _as_directions, _direction, _frame,
                            _optimality_residual, _unit, as_direction,
@@ -18,9 +18,12 @@ from kdense.bodies import (Ball, ConvexBody, Dilate, Ellipsoid, FourierBody2D,
                            support_ratio_max, tangent_frame)
 from kdense import bodies, measure
 from kdense.analysis import krantz_parks_check
+from kdense.config import BODY_KINDS, load_config
 from kdense.errors import NonUniqueSupport, SingularCurvature
 from kdense.measure import bounding_box
 from kdense.oracles import ellipse_curvature_param
+
+from finite_difference import FiniteDifference, GRADIENT_TOL, HESSIAN_TOL
 
 RNG = np.random.default_rng(7)
 
@@ -308,18 +311,29 @@ class TestValidation:
 
     def test_origin_interior_decided_in_closed_form(self):
         # the origin lies just outside the ball and on the ellipse: a
-        # sample of support values missed both, and the gauge then raised
+        # sample of support values missed both, and the gauge then raised.
+        # A translate by v is decided by the exact gauge of -v: here 1.01 in
+        # thin bodies, whose support is negative only at the thin axis
+        thin2 = Ellipsoid.from_semiaxes(2.0, 0.001)
+        thin3 = Ellipsoid.from_semiaxes(2.0, 1.0, 0.001)
         for make in (lambda: Ball(1.0, center=[1.00001, 0.0]),
                      lambda: Ball(1.0, center=[0.0, 0.0, 1.0]),
                      lambda: Ellipsoid(np.diag([4.0, 1.0]), center=[2.0, 0.0]),
                      lambda: Ellipsoid.from_semiaxes(2.0, 1.0, 1.5,
-                                                     center=[0.0, 0.0, 1.5])):
+                                                     center=[0.0, 0.0, 1.5]),
+                     lambda: Translate(thin2, [0.0, 0.00101]),
+                     lambda: Translate(thin3, [0.0, 0.0, 0.00101]),
+                     lambda: Translate(difference_body(thin2), [0.0, 0.00202]),
+                     lambda: Translate(difference_body(thin3),
+                                       [0.0, 0.0, -0.00202])):
             with pytest.raises(ValueError, match="interior"):
                 make()
         # just inside, every body has a finite positive gauge
         for body in (Ball(1.0, center=[0.99999, 0.0]),
-                     Ellipsoid(np.diag([4.0, 1.0]), center=[1.9999, 0.0])):
-            g = body.gauge_many(sphere_directions(2, 16))
+                     Ellipsoid(np.diag([4.0, 1.0]), center=[1.9999, 0.0]),
+                     Translate(thin2, [0.0, 0.00099]),
+                     Translate(difference_body(thin3), [0.0, 0.0, -0.00198])):
+            g = body.gauge_many(sphere_directions(body.dim, 16))
             assert np.all(np.isfinite(g) & (g > 0.0))
 
     @pytest.mark.parametrize("make", [
@@ -332,6 +346,9 @@ class TestValidation:
         lambda: Ellipsoid.from_semiaxes(1.0, 1.0, 1.0,
                                         center=[0.0, math.nan, 0.0]),
         lambda: Ellipsoid(np.eye(2), center=[0.0, 0.0, 0.0]),
+        lambda: Translate(Ball(1.0), [math.nan, 0.0]),
+        lambda: Translate(Ball(1.0), [0.0, math.inf]),
+        lambda: Translate(Ball(1.0), [0.0, 0.0, 0.0]),
     ])
     def test_non_finite_or_misshaped_quadric_rejected(self, make):
         with pytest.raises(ValueError):
@@ -360,10 +377,6 @@ class TestValidation:
     def test_minkowski_dim_mismatch(self):
         with pytest.raises(ValueError):
             MinkowskiSum(Ball(1.0), Ball(1.0, dim=3))
-
-    def test_derivative_mode(self):
-        with pytest.raises(ValueError):
-            Ball(1.0, derivative_mode="symbolic")
 
     def test_dilation_factor(self):
         # any finite nonzero factor is a homothety; zero and non-finite
@@ -416,14 +429,11 @@ class TestBoundary:
                 assert np.linalg.norm(normal_at(body, x) - u) < 1e-9
 
     def test_finite_difference_gradient_matches(self):
-        for exact, fd in [
-            (Ellipsoid.from_semiaxes(2.0, 1.0),
-             Ellipsoid.from_semiaxes(2.0, 1.0, derivative_mode="finite-difference")),
-            (Ball(1.0, dim=3),
-             Ball(1.0, dim=3, derivative_mode="finite-difference")),
-        ]:
+        for exact in (Ellipsoid.from_semiaxes(2.0, 1.0), Ball(1.0, dim=3)):
             U = _units(exact.dim, 16)
-            assert np.allclose(exact.gradient_hom(U), fd.gradient_hom(U), atol=1e-7)
+            err = np.linalg.norm(exact.gradient_hom(U) -
+                                 FiniteDifference(exact).gradient_hom(U), axis=1)
+            assert np.all(err <= GRADIENT_TOL * exact.support_hom(U))
 
     def test_non_unique_support_detected(self):
         class Stadium(ConvexBody):
@@ -431,12 +441,12 @@ class TestBoundary:
             kind = "stadium"
 
             def __init__(self):
-                super().__init__(2, derivative_mode="finite-difference")
+                super().__init__(2)
 
             def _support_impl(self, V):
                 return np.linalg.norm(V, axis=1) + np.abs(V[:, 0])
 
-        body = Stadium()
+        body = FiniteDifference(Stadium())
         with pytest.raises(NonUniqueSupport):
             boundary_point(body, [0.0, 1.0])
         # smooth directions still work
@@ -513,11 +523,12 @@ class TestCurvature:
 
     def test_finite_difference_hessian_matches(self):
         exact = Ellipsoid.from_semiaxes(2.0, 1.0, 1.5)
-        fd = Ellipsoid.from_semiaxes(2.0, 1.0, 1.5,
-                                     derivative_mode="finite-difference")
+        fd = FiniteDifference(exact)
+        # kappa = 1 / det R gathers the errors of the block's entries,
+        # amplified by its condition (below 5 here)
         for u in _units(3, 6):
             assert curvature(fd, u).kappa == pytest.approx(
-                curvature(exact, u).kappa, rel=1e-5)
+                curvature(exact, u).kappa, rel=10 * HESSIAN_TOL)
 
     def test_superellipse_singular_on_axis(self):
         G = Superellipse2D(4.0)
@@ -625,9 +636,10 @@ class TestTangentBlock:
                     _ellipsoid_kappa(G.Q, u), rel=rtol, abs=0.0)
 
     def test_block_equals_hessian_projection(self):
+        # hessian_hom projects the block taken at the same u, so bodies with
+        # a difference block meet the analytic bound too
         E2 = Ellipsoid.from_semiaxes(2.0, 1.0, center=[0.3, -0.2])
         E3 = Ellipsoid.from_semiaxes(2.0, 1.0, 1.5, center=[0.1, 0.0, -0.2])
-        fd = dict(derivative_mode="finite-difference")
         bodies = _zoo() + [
             ReuleauxTriangle2D(1.0), E2, E3,
             _rotated_ellipsoid(np.random.default_rng(23), (2.0, 1.0, 1.5)),
@@ -635,13 +647,19 @@ class TestTangentBlock:
             Translate(E2, [0.1, 0.2]), Dilate(E3, -1.0),
             MinkowskiSum(FourierBody2D([1.0, 0.0, 0.0, 0.1]), Ball(0.5)),
             MinkowskiSum(E3, Ball(0.7, dim=3)),
-            Ellipsoid.from_semiaxes(2.0, 1.0, 1.5, **fd),
-            FourierBody2D([1.0, 0.0, 0.0, 0.1], **fd),
-            MinkowskiSum(E2, Ball(0.5), **fd),
-            MinkowskiSum(E3, Ellipsoid.from_semiaxes(1.0, 2.0, 1.0, **fd)),
+            FiniteDifference(Ellipsoid.from_semiaxes(2.0, 1.0, 1.5)),
+            FiniteDifference(FourierBody2D([1.0, 0.0, 0.0, 0.1])),
+            FiniteDifference(MinkowskiSum(E2, Ball(0.5))),
+            MinkowskiSum(E3, FiniteDifference(
+                Ellipsoid.from_semiaxes(1.0, 2.0, 1.0))),
+            MinkowskiSum(FiniteDifference(E2), Ball(0.5)),
         ]
+        rng = np.random.default_rng(25)
         for body in bodies:
-            for u in map(as_direction, _units(body.dim, 8)):
+            V = rng.normal(size=(8, body.dim))
+            V /= np.linalg.norm(V, axis=1, keepdims=True)
+            # re-normalized, as a caller may pass them
+            for u in (as_direction(as_direction(v)) for v in V):
                 for E in (tangent_frame(u), tangent_frame(-u)):
                     R, _ = reverse_weingarten(body, u, E)
                     ref = E.T @ body.hessian_hom(u) @ E
@@ -677,12 +695,13 @@ class TestTangentBlock:
                          Superellipse2D(4.0)),
         ]
         for body in bodies:
+            fd = FiniteDifference(body)
             for u in map(as_direction, _off_axis(body.dim)):
                 for E in (tangent_frame(u), tangent_frame(-u)):
                     R, _ = reverse_weingarten(body, u, E)
-                    ref = E.T @ body._fd_hessian(u) @ E
+                    ref = E.T @ fd.hessian(u) @ E
                     assert np.linalg.norm(R - ref) <= \
-                        1e-6 * np.linalg.norm(ref), body
+                        HESSIAN_TOL * np.linalg.norm(ref), body
 
     def test_hessian_from_block(self):
         # H(v) = E R E' / |v|: symmetric, v in its kernel, and equal to the
@@ -695,11 +714,97 @@ class TestTangentBlock:
         for body in bodies:
             for v in 1.7 * _off_axis(body.dim):
                 H = body.hessian_hom(v)
-                ref = body._fd_hessian(v)
+                ref = FiniteDifference(body).hessian(v)
                 scale = np.linalg.norm(ref)
                 assert np.abs(H - H.T).max() <= 1e-15 * scale, body
                 assert np.linalg.norm(H @ v) <= 1e-14 * scale, body
-                assert np.linalg.norm(H - ref) <= 1e-6 * scale, body
+                assert np.linalg.norm(H - ref) <= HESSIAN_TOL * scale, body
+
+    # one body of every config kind, in 2D and 3D where the kind allows
+    CONFIG_KINDS = """
+[body disk]
+kind = ball
+radius = 0.8
+center = 0.1 -0.2
+[body ball]
+kind = ball
+radius = 0.8
+dimension = 3
+[body ellipse]
+kind = ellipsoid
+semiaxes = 2.0 1.0
+center = 0.3 -0.2
+[body ellipsoid]
+kind = ellipsoid
+semiaxes = 2.0 1.0 1.5
+[body super]
+kind = superellipse
+exponent = 4.0
+[body fourier]
+kind = fourier
+cos = 1 0 0.1 0.05
+sin = 0 0 0.03 0.02
+[body wheel]
+kind = reuleaux
+width = 1.0
+[body wheel_diff]
+kind = difference
+of = wheel
+[body diff]
+kind = difference
+of = ellipsoid
+[body dilate]
+kind = dilate
+of = fourier
+factor = -1.5
+[body shift]
+kind = translate
+of = ellipsoid
+vector = 0.1 0.2 -0.1
+[body shift_wheel]
+kind = translate
+of = wheel
+vector = 0.05 -0.03
+[body mirror]
+kind = reflect
+of = super
+[body sum]
+kind = minkowski_sum
+left = ellipse
+right = super
+[body sum3]
+kind = minkowski_sum
+left = ellipsoid
+right = ball
+"""
+
+    def test_every_config_kind_has_closed_forms(self, tmp_path):
+        # each kind the config builds has a closed-form gradient and tangent
+        # block: they match central differences of its own support function
+        # at directions clear of superellipse flats and Reuleaux kinks
+        path = tmp_path / "kinds.cfg"
+        path.write_text(self.CONFIG_KINDS)
+        cfg = load_config(str(path))
+        assert {s.kind for s in cfg.body_specs.values()} == set(BODY_KINDS)
+        rng = np.random.default_rng(26)
+        for name in cfg.body_specs:
+            body = cfg.body(name)
+            fd = FiniteDifference(body)
+            if body.dim == 2:
+                U = _off_axis(2)
+            else:
+                U = rng.normal(size=(8, 3))
+                U /= np.linalg.norm(U, axis=1, keepdims=True)
+            err = np.linalg.norm(body.gradient_hom(U) - fd.gradient_hom(U),
+                                 axis=1)
+            assert np.all(err <= GRADIENT_TOL * body.support_hom(U)), name
+            for u in map(as_direction, U):
+                E = tangent_frame(u)
+                R, _ = reverse_weingarten(body, u, E)
+                ref, _ = reverse_weingarten(fd, u, E)
+                # the block is 0 in Reuleaux vertex sectors: scale by h(u)
+                scale = max(np.linalg.norm(ref), body.support(u))
+                assert np.linalg.norm(R - ref) <= HESSIAN_TOL * scale, name
 
     def test_closed_forms_skip_the_hessian(self, monkeypatch):
         calls = []
@@ -721,14 +826,6 @@ class TestTangentBlock:
         for body in _zoo():
             curvature(body, _units(body.dim, 1)[0])
         assert calls == []
-        fd = Ellipsoid.from_semiaxes(2.0, 1.0, 1.5,
-                                     derivative_mode="finite-difference")
-        u = _units(3, 1)[0]
-        curvature(fd, u)
-        assert calls == [fd]
-        # an analytic sum projects only its finite-difference summand
-        curvature(MinkowskiSum(Ellipsoid.from_semiaxes(2.0, 1.0, 1.5), fd), u)
-        assert calls == [fd, fd]
 
 
 class TestCurvatureMany:
@@ -739,7 +836,6 @@ class TestCurvatureMany:
         E2 = Ellipsoid.from_semiaxes(2.0, 1.0, center=[0.3, -0.2])
         E3 = Ellipsoid.from_semiaxes(2.0, 1.0, 1.5, center=[0.1, 0.0, -0.2])
         fourier = FourierBody2D([1.0, 0.0, 0.0, 0.1])
-        fd = dict(derivative_mode="finite-difference")
         return _zoo() + [
             ReuleauxTriangle2D(1.0), E2, E3,
             _rotated_ellipsoid(np.random.default_rng(31), (2.0, 1.0, 1.5)),
@@ -750,10 +846,11 @@ class TestCurvatureMany:
             difference_body(Superellipse2D(4.0)),
             MinkowskiSum(fourier, Superellipse2D(4.0)),
             MinkowskiSum(E3, Ball(0.7, dim=3)),
-            Ellipsoid.from_semiaxes(2.0, 1.0, 1.5, **fd),
-            FourierBody2D([1.0, 0.0, 0.0, 0.1], **fd),
-            MinkowskiSum(E2, Ball(0.5), **fd),
-            MinkowskiSum(E3, Ellipsoid.from_semiaxes(1.0, 2.0, 1.0, **fd)),
+            FiniteDifference(Ellipsoid.from_semiaxes(2.0, 1.0, 1.5)),
+            FiniteDifference(fourier),
+            FiniteDifference(MinkowskiSum(E2, Ball(0.5))),
+            MinkowskiSum(E3, FiniteDifference(
+                Ellipsoid.from_semiaxes(1.0, 2.0, 1.0))),
         ]
 
     @staticmethod
@@ -818,21 +915,24 @@ class TestCurvatureMany:
 
     def test_volume_quadrature_makes_no_per_node_call(self, monkeypatch):
         calls, blocks = [], []
-        one, block = curvature, ConvexBody._tangent_block
+        one = curvature
 
         def counting(body, u, frame=None):
             calls.append(u)
             return one(body, u, frame)
 
-        def counting_block(self, u, E):
-            blocks.append(self)
-            return block(self, u, E)
+        def counting_block(block):
+            def count(self, u, E):
+                blocks.append(self)
+                return block(self, u, E)
+            return count
 
         monkeypatch.setattr(measure, "curvature", counting, raising=False)
         monkeypatch.setattr("kdense.bodies.curvature", counting)
-        monkeypatch.setattr(ConvexBody, "_tangent_block", counting_block)
         for G in (Ellipsoid.from_semiaxes(1.5, 1.0, 0.8),
                   FourierBody2D([1.0, 0.0, 0.0, 0.1])):
+            monkeypatch.setattr(type(G), "_tangent_block",
+                                counting_block(type(G)._tangent_block))
             blocks.clear()
             measure.volume_quadrature(G)
             # one stacked block for the full grid and one for the half grid
@@ -944,15 +1044,14 @@ class TestGauge:
     def test_reflection_is_the_body_at_minus_v(self):
         # Dilate(G, -1) multiplies by |s| = 1, which is exact: every value
         # is G's at -V bit for bit, for closed, generic and
-        # finite-difference bodies in 2D and 3D
+        # difference-quotient bodies in 2D and 3D
         rng = np.random.default_rng(17)
         E2 = Ellipsoid.from_semiaxes(2.0, 1.0)
         E3 = Ellipsoid.from_semiaxes(1.5, 1.0, 0.8, center=[0.1, -0.2, 0.05])
         for G in (Translate(difference_body(E2), [0.3, -0.2]),
                   FourierBody2D([1.0, 0.0, 0.1, 0.05], [0.0, 0.0, 0.03, 0.02]),
                   E3, Translate(difference_body(E3), [0.2, 0.1, -0.3]),
-                  FourierBody2D([1.0, 0.0, 0.0, 0.1],
-                                derivative_mode="finite-difference")):
+                  FiniteDifference(FourierBody2D([1.0, 0.0, 0.0, 0.1]))):
             R = Dilate(G, -1.0)
             U = _units(G.dim, 12)
             assert np.array_equal(R.support_hom(U), G.support_hom(-U))
@@ -992,8 +1091,8 @@ class TestContainsMany:
             difference_body(E),
             difference_body(S),
             difference_body(Ellipsoid.from_semiaxes(1.5, 1.0, 0.8)),
-            FourierBody2D([1.0, 0.0, 0.1, 0.05], [0.0, 0.0, 0.03, 0.02],
-                          derivative_mode="finite-difference"),
+            FiniteDifference(FourierBody2D([1.0, 0.0, 0.1, 0.05],
+                                           [0.0, 0.0, 0.03, 0.02])),
             Dilate(difference_body(S), 1.3),
             Dilate(Translate(difference_body(E), [0.3, -0.2]), -1.0),
             E,
@@ -1079,11 +1178,8 @@ class TestGaugeBracket:
              None, exact),
             # zero-width cells where several grid normals share a vertex
             (Translate(R, v), reuleaux, exact),
-            # its boundary points carry the finite-difference gradient's
-            # error, about 1e-10, below the membership tolerance
-            (Ellipsoid.from_semiaxes(2.0, 1.0,
-                                     derivative_mode="finite-difference"),
-             E.gauge_many, MEMBERSHIP_TOL),
+            # its boundary points carry the difference gradient's error
+            (FiniteDifference(E), E.gauge_many, GRADIENT_TOL),
             (Dilate(difference_body(S4), 0.7),
              lambda P: S4.gauge_many(P / 1.4), exact),
             (Dilate(Translate(difference_body(E), [0.3, -0.2]), -1.0),

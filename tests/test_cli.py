@@ -111,6 +111,13 @@ seed = 0
 
 
 
+def _bad_experiment_key(line):
+    """A good body g and an experiment x on it whose last key is line."""
+    return ("kind = ellipsoid\nsemiaxes = 2.0 1.0\n\n[experiment x]\n"
+            "kind = asymptotic\nbody = g\nrungs = 3\nqmc_points = 1024\n"
+            f"replicates = 2\n{line}")
+
+
 def _identity_rows(G, m, tol=1e-8):
     """The rows of ``run_identities`` against the default other body, from
     per-direction checks and ``curvature`` at u and -u."""
@@ -369,9 +376,21 @@ replicates = 2
         "kind = ball\nradius = 1.0\ncenter = 1.00001 0",
         "kind = ellipsoid\nsemiaxes = inf 1.0",
         "kind = ellipsoid\nsemiaxes = 2.0 1.0\ncenter = nan 0",
-        "kind = ellipsoid\nsemiaxes = 2.0 1.0\ncenter = 2.0 0"])
+        "kind = ellipsoid\nsemiaxes = 2.0 1.0\ncenter = 2.0 0",
+        # the translate of a thin ellipse whose support is -1e-5 at (0, -1)
+        pytest.param("kind = translate\nof = thin\nvector = 0 0.00101\n\n"
+                     "[body thin]\nkind = ellipsoid\nsemiaxes = 2.0 0.001",
+                     id="translate off a thin ellipse"),
+        pytest.param(_bad_experiment_key("x_direction = 0 0"),
+                     id="x_direction = 0 0"),
+        pytest.param(_bad_experiment_key("x_direction = nan 0"),
+                     id="x_direction = nan 0"),
+        pytest.param(_bad_experiment_key("x_direction = 1 x"),
+                     id="x_direction = 1 x"),
+        pytest.param(_bad_experiment_key("seed = -1"), id="seed = -1")])
     def test_bad_quadric_rejected(self, tmp_path, capsys, body):
-        # non-finite data, or an origin outside or on the boundary
+        # non-finite data, or an origin outside or on the boundary; or a
+        # bad key of an experiment x on a good body
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"""
 [body g]
@@ -383,7 +402,8 @@ body = g
 """)
         assert main(["verify", str(cfg), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert "config error" in err and "body g" in err
+        where = "experiment x" if "[experiment x]" in body else "body g"
+        assert "config error" in err and where in err
 
     def test_python_m_kdense(self, tmp_path):
         # a checkout runs the command line without an installed script
@@ -413,6 +433,21 @@ of = d
         R = cfg.body("r")
         assert isinstance(R, Dilate) and R.factor == -1.0
         assert R.support([1.0, 0.0]) == cfg.body("d").support([-1.0, 0.0])
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "-1"), ("--samples", "-5"), ("--samples", "0")])
+    def test_bad_seed_or_sample_flag_rejected(self, tmp_path, capsys, flag,
+                                              value):
+        # argparse's usage error, before any run and with no traceback
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(SMALL.format(out=tmp_path / "unused"))
+        with pytest.raises(SystemExit) as exit_:
+            main(["kdense", str(cfg), "--out", str(tmp_path / "o"), flag,
+                  value])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and flag in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_sample_count_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -63,12 +63,17 @@ def touch_point(G, K, x, samples=None):
     NonUniqueContact when the normals within CONTACT_TOL of the top of the
     scan of ``measure.circumscribed_ratio`` spread over an arc, carrying G's
     boundary points at them; a lone touching vertex of G is unique contact.
+    The scan reads both bodies' cached sphere grids, ``samples`` directions
+    (by default their gauge grids), so a repeated call evaluates no support
+    function on them.
     """
     return _touch(G, K, x, samples)[:2]
 
 
 def _touch(G, K, x, samples=None):
-    """``touch_point``'s (xbar, u) and the gauge_K(xbar - x) it checked."""
+    """``touch_point``'s (xbar, u), and K's gauge of xbar - x with its
+    normal there, from the one ``K.gauge_argmax`` that checks the
+    inscribed-copy condition gauge_K(xbar - x) = 1."""
     x = np.asarray(x, dtype=float)
     U, f = measure._support_ratio_scan(G, K, x, samples)
     dirs = U[f > np.max(f) - CONTACT_TOL]
@@ -80,13 +85,13 @@ def _touch(G, K, x, samples=None):
             contact_points=boundary_points(G, dirs))
     u = -normal_at(G, x)
     xbar = boundary_points(G, u[None, :])[0]
-    gk = measure.gauge(K, xbar - x)
+    gk, nu_k = K.gauge_argmax(xbar - x)
     if abs(gk - 1.0) > CONTACT_TOL:
         raise NonUniqueContact(
             f"touch point fails the inscribed-copy condition "
             f"(gauge_K(xbar - x) = {gk:.8f})",
             contact_points=boundary_points(G, dirs))
-    return xbar, u, gk
+    return xbar, u, gk, nu_k
 
 
 def kdense_spread(G, K, r, m=64, n=measure.DEFAULT_QMC_POINTS,

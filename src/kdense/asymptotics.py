@@ -8,14 +8,15 @@ V0(x) r^N where V0 is a half-space cut of K.  Both regimes are extracted
 numerically from geometric ladders and compared with the closed forms.
 """
 
+import operator
+
 import numpy as np
 
-from .analysis import touch_point
-from .bodies import curvature, tangent_frame
+from .analysis import _is_positive_definite, touch_point
+from .bodies import _curvature, _det, _direction, normal_at
 from .errors import DegenerateFit, FlatContact
 from .measure import OMEGA, halfspace_cut_volume
 from . import measure
-from .bodies import normal_at
 
 # relative error floor of a QMC ladder's fit in large_r_coefficient_numeric
 LADDER_REL_FLOOR = 0.005
@@ -58,8 +59,13 @@ def fit_power_law(samples, rel_floor=0.0):
         w = np.ones_like(f)
     else:
         w = 1.0 / np.maximum(rel, 1e-150) ** 2
-    X = np.log(eps)
-    Y = np.log(f)
+    intercept, slope, r2 = _weighted_line(np.log(eps), np.log(f), w)
+    return PowerLawFit(slope, np.exp(intercept), r2, samples)
+
+
+def _weighted_line(X, Y, w):
+    """Weighted least-squares line Y ~ intercept + slope X, and its weighted
+    coefficient of determination (1 when Y is constant)."""
     W = np.sum(w)
     xb = np.sum(w * X) / W
     yb = np.sum(w * Y) / W
@@ -71,7 +77,7 @@ def fit_power_law(samples, rel_floor=0.0):
     ss_res = np.sum(w * resid ** 2)
     ss_tot = np.sum(w * (Y - yb) ** 2)
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return PowerLawFit(slope, np.exp(intercept), r2, samples)
+    return intercept, slope, r2
 
 
 def deficit_ladder(G, K, x, eps0=0.1, rungs=8, oracle=None,
@@ -136,18 +142,33 @@ def large_r_coefficient_closed(G, K, x):
     converges to 2^((N-1)/2) times this value; see large_r_limit_closed.
     """
     N = G.dim
-    xbar, u = touch_point(G, K, x)
-    F = tangent_frame(u)
-    S_G = curvature(G, u, frame=F).S
-    S_K = curvature(K, u, frame=F).S
-    M = S_G - S_K
-    eig = np.linalg.eigvalsh(0.5 * (M + M.T))
-    if np.min(eig) <= 0:
-        raise ValueError("S_G(u) - S_K(u) is not positive definite at the "
-                         "touch direction")
+    return _touch_constant(G, K, x, 2.0, N * N - 1, minus_k=True)
+
+
+def _touch_constant(G, K, x, c, d, minus_k):
+    """c w_{N-1} h_K(u)^((N+1)/2) / (d det[M]^(1/2)) at the touch direction
+    u of x, with M = S_G(u) - S_K(u) if minus_k, else S_G(u).
+
+    The shape operators are ``kp1_check``'s: ``_curvature`` of each body's
+    tangent block in the memoized frame of u, by entries, with det M from
+    the entries.  SingularCurvature is raised for G, then K; ValueError
+    when M is not positive definite.
+    """
+    N = G.dim
+    u = touch_point(G, K, x)[1]
+    v, E = _direction(u, N)
+    M = _curvature(G._tangent_block(v, E), v)[1]
+    name = "S_G(u)"
+    if minus_k:
+        S_K = _curvature(K._tangent_block(v, E), v)[1]
+        M = tuple(map(operator.sub, M, S_K))
+        name = "S_G(u) - S_K(u)"
+    if not _is_positive_definite(M):
+        raise ValueError(f"{name} is not positive definite at the touch "
+                         "direction")
     hK = K.support(u)
-    return float(2.0 * OMEGA[N] * hK ** ((N + 1) / 2.0) /
-                 ((N * N - 1) * np.sqrt(np.linalg.det(M))))
+    return float(c * OMEGA[N] * hK ** ((N + 1) / 2.0) /
+                 (d * np.sqrt(_det(M))))
 
 
 def convention_factor(dim):
@@ -181,11 +202,7 @@ def symmetric_closed_constant(G, K, x):
     are exposed so they can be reported side by side.
     """
     N = G.dim
-    xbar, u = touch_point(G, K, x)
-    S_G = curvature(G, u).S
-    hK = K.support(u)
-    return float(2.0 * np.sqrt(2.0) * OMEGA[N] * hK ** ((N + 1) / 2.0) /
-                 ((N + 1) * np.sqrt(np.linalg.det(S_G))))
+    return _touch_constant(G, K, x, 2.0 * np.sqrt(2.0), N + 1, minus_k=False)
 
 
 def small_r_v0(G, K, x, r0=0.1, rungs=6, oracle=None,
@@ -216,11 +233,7 @@ def small_r_v0(G, K, x, r0=0.1, rungs=6, oracle=None,
         rs.append(r)
         ys.append(v / r ** N)
         ws.append(1.0 if s == 0 else (r ** N / s) ** 2)
-    rs, ys, ws = map(np.asarray, (rs, ys, ws))
-    A = np.column_stack([np.ones_like(rs), rs])
-    Aw = A * np.sqrt(ws)[:, None]
-    coef, *_ = np.linalg.lstsq(Aw, ys * np.sqrt(ws), rcond=None)
-    numeric = float(coef[0])
+    numeric = float(_weighted_line(*map(np.asarray, (rs, ys, ws)))[0])
     nu = normal_at(G, x)
     closed = halfspace_cut_volume(K, -nu, n=n, replicates=replicates,
                                   seed=seed).value

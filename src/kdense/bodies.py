@@ -17,9 +17,13 @@ Every kind gives its gradient and tangent block in closed form.  The
 Minkowski algebra (sums, homotheties sK with s != 0, so -K too, and
 translations) acts linearly on H and on the tangent block.  Balls and
 ellipsoids decide that the origin is interior in closed form, translates
-by the exact gauge.  One sphere search for the largest support ratio
-serves gauges, normals and circumscribed ratios, whose scan also screens
-touch points.  ``gauge_many``
+by the exact gauge, Fourier bodies by a certified bound between samples;
+superellipses and Reuleaux triangles need only finite parameters.  Each
+body caches its sphere grid and its support values there, once per size:
+the gauge reads the default size, the support-ratio scans any size.
+One sphere search for the largest support ratio serves gauges, normals
+and circumscribed ratios, whose scan also screens touch points; closed
+gauges answer ``gauge_argmax`` in closed form too.  ``gauge_many``
 is exact; membership is the bounded path.  A 2D point is bracketed by the
 grid cell of its angle, from below by the outer polygon of the grid normals
 and from above by the chord between two boundary points; only the points
@@ -409,7 +413,7 @@ class ConvexBody:
         if dim not in (2, 3):
             raise ValueError("only dimensions 2 and 3 are supported")
         self.dim = dim
-        self._grid_cache = None
+        self._grids = {}
         self._cell_cache = None
 
     # -- support ------------------------------------------------------------
@@ -464,14 +468,28 @@ class ConvexBody:
 
     # -- gauge (Minkowski functional) ---------------------------------------
 
-    def _gauge_grid(self):
-        if self._grid_cache is None:
+    def _sphere_grid(self, n=None):
+        """The directions U of ``sphere_directions(dim, n)``, H on them, and
+        U / H, pre-divided so a ratio <p, u> / H(u) is one dot product; n
+        defaults to the gauge grid's GAUGE_GRID_2D or GAUGE_GRID_3D.  Built
+        once per n and read-only: the body's gauges and support-ratio scans
+        at that size share it."""
+        if n is None:
             n = GAUGE_GRID_2D if self.dim == 2 else GAUGE_GRID_3D
+        grid = self._grids.get(n)
+        if grid is None:
             U = sphere_directions(self.dim, n)
             h = self.support_hom(U)
-            # pre-divide so each grid ratio <p, u> / H(u) is one dot product
-            self._grid_cache = (U, h, U / h[:, None])
-        return self._grid_cache
+            grid = (U, h, U / h[:, None])
+            for a in grid:
+                a.flags.writeable = False
+            self._grids[n] = grid
+        return grid
+
+    def _gauge_grid(self):
+        """The default ``_sphere_grid``: the normals of the 2D bracket's
+        cells and of the 3D coarse scan."""
+        return self._sphere_grid()
 
     def _gauge_cells(self):
         """2D cells: cell i runs from X_i = grad H(u_i) to X_{i+1}, cyclically.
@@ -630,16 +648,6 @@ class ConvexBody:
                 v[m] = inside[start:start + len(m)]
                 start += len(m)
         return [v for v, _ in out]
-
-    # -- validation ---------------------------------------------------------
-
-    def _validate_positive(self):
-        U = sphere_directions(self.dim, 256 if self.dim == 2 else 1024)
-        h = self.support_hom(U)
-        if not np.all(np.isfinite(h)) or np.min(h) <= 0.0:
-            raise ValueError(
-                f"{self.kind}: support function is not strictly positive "
-                "(origin must be strictly interior)")
 
     def __repr__(self):
         return f"{self.__class__.__name__}(dim={self.dim})"
@@ -839,6 +847,25 @@ class _Theta2DBody(ConvexBody):
         return (float(r[0]) if single else r,)
 
 
+def _trig_lower_bound(a, b, n=4096):
+    """Certified lower bound, over every angle, of the trigonometric
+    polynomial P(t) = sum_k a_k cos kt + b_k sin kt, from n samples D apart.
+
+    At a minimizer t*, P'(t*) = 0 and a sample lies within D / 2, so
+    P(t*) >= min(samples) - max|P''| D^2 / 8, and |P''| <= sum k^2 amp_k
+    with amp_k = |(a_k, b_k)|.  The last term bounds the rounding of the
+    samples: 6 pi k eps in each angle k t, 4 ulps in each cosine and sine,
+    and len(a) eps in the sum.  A NaN or infinite coefficient gives no bound.
+    """
+    k = np.arange(len(a))
+    kt = np.multiply.outer(k, 2.0 * np.pi * np.arange(n) / n)
+    amp = np.hypot(a, b)
+    d = 2.0 * np.pi / n
+    return np.min(a @ np.cos(kt) + b @ np.sin(kt)) - \
+        np.sum(k * k * amp) * d * d / 8.0 - \
+        np.finfo(float).eps * np.sum((8.0 + 32.0 * k + 2.0 * len(k)) * amp)
+
+
 class FourierBody2D(_Theta2DBody):
     """2D body with support h(theta) = sum a_k cos(k theta) + b_k sin(k theta)."""
 
@@ -851,10 +878,13 @@ class FourierBody2D(_Theta2DBody):
                   else np.asarray(sin_coeffs, dtype=float))
         if self.b.shape != self.a.shape:
             raise ValueError("cosine and sine coefficient lists must have equal length")
-        self._validate_positive()
-        # convexity: h + h'' > 0 on a fine grid
-        t = 2.0 * np.pi * np.arange(4096) / 4096
-        if np.min(self.h_theta(t) + self.d2h_theta(t)) <= 0:
+        # h and the radius of curvature h + h'' are trigonometric polynomials
+        # with coefficients (a_k, b_k) and (1 - k^2) (a_k, b_k)
+        if not _trig_lower_bound(self.a, self.b) > 0.0:  # NaN fails too
+            raise ValueError(f"{self.kind}: support function is not strictly "
+                             "positive (origin must be strictly interior)")
+        c = 1.0 - np.arange(len(self.a)) ** 2.0
+        if not _trig_lower_bound(c * self.a, c * self.b) > 0.0:
             raise ValueError("fourier coefficients produce a non-convex profile "
                              "(h + h'' <= 0 somewhere)")
 
@@ -900,11 +930,13 @@ class Superellipse2D(_ClosedGauge):
 
     def __init__(self, exponent):
         super().__init__(2)
-        if exponent <= 2:
-            raise ValueError("exponent must exceed 2")
-        self.p = float(exponent)
+        exponent = float(exponent)
+        # the unit ball of a p-norm holds the origin strictly inside
+        if not (math.isfinite(exponent) and exponent > 2.0):
+            raise ValueError(f"exponent must be finite and exceed 2, "
+                             f"not {exponent}")
+        self.p = exponent
         self.q = self.p / (self.p - 1.0)
-        self._validate_positive()
 
     def _support_impl(self, V):
         q = self.q
@@ -951,15 +983,17 @@ class ReuleauxTriangle2D(_ClosedGauge, _Theta2DBody):
 
     def __init__(self, width=1.0):
         super().__init__()
-        if width <= 0:
-            raise ValueError("width must be positive")
-        self.width = float(width)
+        width = float(width)
+        # centred at its centroid, which is strictly inside
+        if not (math.isfinite(width) and width > 0.0):
+            raise ValueError(f"width must be positive and finite, not {width}")
+        self.width = width
         rho = width / np.sqrt(3.0)
         self.vertex_angles = np.array([np.pi / 2.0,
                                        np.pi / 2.0 + 2.0 * np.pi / 3.0,
                                        np.pi / 2.0 + 4.0 * np.pi / 3.0])
         self.vertices = rho * _unit_circle(self.vertex_angles)
-        self._validate_positive()
+        self._Qinv = np.eye(2) / width ** 2
 
     def _sector(self, t):
         """Index of the governing vertex and whether t is in its arc sector."""
@@ -999,11 +1033,19 @@ class ReuleauxTriangle2D(_ClosedGauge, _Theta2DBody):
         # radius of curvature h + h'' is w on arcs, 0 at vertex sectors
         return d2
 
+    def _disk_gauges(self, pts):
+        """Gauges of the rows of pts in each of the three disks."""
+        return [_offset_quadric_gauge(pts, self._Qinv, v) for v in self.vertices]
+
     def _closed_gauge(self, pts):
         # gauge of an intersection is the max of the member gauges
-        Qinv = np.eye(2) / self.width ** 2
-        return np.max([_offset_quadric_gauge(pts, Qinv, v) for v in self.vertices],
-                      axis=0)
+        return np.max(self._disk_gauges(pts), axis=0)
+
+    def gauge_argmax(self, v):
+        # the disk with the largest gauge sets it, and its normal at v / g
+        v = np.asarray(v, dtype=float)
+        i = int(np.argmax(self._disk_gauges(v[None, :])))
+        return _offset_quadric_argmax(v, self._Qinv, self.vertices[i])
 
 
 # ---------------------------------------------------------------------------
@@ -1305,8 +1347,9 @@ def normal_at(body, x):
     """Outward unit normal of the body at a boundary point x.
 
     Recovered as the maximizing direction of the gauge, which is exact for
-    strictly convex bodies: in closed form for balls, ellipsoids and
-    superellipses, by the converged sphere search otherwise.
+    strictly convex bodies: in closed form for balls, ellipsoids,
+    superellipses and Reuleaux triangles (away from their vertices, whose
+    normals form an arc), by the converged sphere search otherwise.
     """
     g, u = body.gauge_argmax(np.asarray(x, dtype=float))
     return u

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import analysis, asymptotics, measure
 from .bodies import (Ball, boundary_points, curvature_many, difference_body,
-                     normal_at, sphere_directions)
+                     sphere_directions)
 from .config import ConfigError, direction_from, load_config
 from .errors import (DegenerateFit, FlatContact, NonUniqueContact,
                      SingularCurvature)
@@ -216,11 +216,11 @@ def run_report(spec, cfg, state, overrides):
     for i, u in enumerate(dirs):
         x = boundary_points(G, u[None, :])[0]
         try:
-            # touch_point's own gauge of xbar - x; the normal of G at x is -ubar
-            xbar, ubar, g = analysis._touch(G, K, x)
+            # touch_point's own gauge of xbar - x and K's normal there; the
+            # normal of G at x is -ubar
+            _, ubar, g, nu_k = analysis._touch(G, K, x)
             rows.append(("touch_gauge", spec.get("body"), i, abs(g - 1.0),
                          "pass" if abs(g - 1.0) < 1e-6 else "fail"))
-            nu_k = normal_at(K, xbar - x)
             mis = float(np.linalg.norm(nu_k - ubar))
             rows.append(("touch_normal", spec.get("body"), i, mis,
                          "pass" if mis < 1e-4 else "fail"))

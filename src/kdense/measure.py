@@ -306,13 +306,13 @@ def halfspace_cut_volume(K, n_dir, n=DEFAULT_QMC_POINTS,
 
 
 def _support_ratio_scan(G, K, x, samples):
-    """Sphere directions U, ``samples`` of them (512 in 2D, 4096 in 3D), and
-    (H_G(u) - <x, u>) / H_K(u) on them: ``circumscribed_ratio`` refines its
-    argmax, ``analysis.touch_point`` screens contact by its top values."""
-    if samples is None:
-        samples = 512 if G.dim == 2 else 4096
-    U = sphere_directions(G.dim, samples)
-    return U, (G.support_hom(U) - U @ x) / K.support_hom(U)
+    """Sphere directions U and (H_G(u) - <x, u>) / H_K(u) on them:
+    ``circumscribed_ratio`` refines its argmax, ``analysis.touch_point``
+    screens contact by its top values.  U and both H come from each body's
+    cached sphere grid of ``samples`` directions, by default its gauge grid,
+    so a repeated scan evaluates no support function."""
+    U, h_G, _ = G._sphere_grid(samples)
+    return U, (h_G - U @ x) / K._sphere_grid(samples)[1]
 
 
 def circumscribed_ratio(G, K, x, samples=None):

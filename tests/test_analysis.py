@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from kdense import measure
 from kdense.analysis import (SpreadReport, _harmonic_compose,
                              curvature_symmetry_check,
                              halfvolume_condition_check, k_equals_2g_check,
                              kdense_spread, kp1_check, krantz_parks_check,
                              petty_check, symmetry_center, touch_point)
-from kdense.bodies import (Ball, Ellipsoid, FourierBody2D, ReuleauxTriangle2D,
+from kdense.bodies import (GAUGE_GRID_2D, GAUGE_GRID_3D, Ball, Ellipsoid,
+                           FourierBody2D, ReuleauxTriangle2D,
                            Superellipse2D, boundary_points, curvature,
                            difference_body, sphere_directions, tangent_frame)
 from kdense.errors import NonUniqueContact, SingularCurvature
@@ -105,6 +107,34 @@ class TestTouchPoint:
         x = boundary_points(G, sphere_directions(2, 3))[0]
         touch_point(G, K, x)
         assert rows == [1]
+
+    @pytest.mark.parametrize("dim, samples", [(2, None), (2, 200),
+                                              (3, None), (3, 1001)])
+    def test_repeat_scan_evaluates_no_support(self, monkeypatch, dim,
+                                              samples):
+        # each body caches its sphere grid per size, the gauge grid's by
+        # default: a second touch point on the same pair evaluates no
+        # support function on the scan's directions, and the scan equals
+        # the fresh ratios bit for bit (an odd 3D size gives one row less)
+        G = Ellipsoid.from_semiaxes(*(2.0, 1.0, 0.8)[:dim])
+        K = difference_body(G)
+        X = boundary_points(G, sphere_directions(dim, 3))
+        touch_point(G, K, X[0], samples=samples)
+        U = sphere_directions(dim, samples or (GAUGE_GRID_2D if dim == 2
+                                               else GAUGE_GRID_3D))
+        rows = []
+        for body in (G, K):
+            def spy(V, _orig=body.support_hom):
+                rows.append(len(V))
+                return _orig(V)
+            monkeypatch.setattr(body, "support_hom", spy)
+        touch_point(G, K, X[1], samples=samples)
+        assert len(U) not in rows
+        monkeypatch.undo()
+        scan_U, f = measure._support_ratio_scan(G, K, X[1], samples)
+        assert np.array_equal(scan_U, U)
+        assert np.array_equal(
+            f, (G.support_hom(U) - U @ X[1]) / K.support_hom(U))
 
 
 class TestKdenseSpread:

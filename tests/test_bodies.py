@@ -370,9 +370,38 @@ class TestValidation:
         with pytest.raises(ValueError):
             FourierBody2D([1.0], [1.0, 2.0])
 
+    def test_fourier_origin_certified_between_samples(self):
+        # the unit disk centred at (1.00001, 0): h(pi) = -1e-5 on an arc of
+        # 0.009 rad, under a 256-direction sample's spacing
+        with pytest.raises(ValueError, match="interior"):
+            FourierBody2D([1.0, 1.00001])
+        # 1 + A cos(t - d), A = 1 + 1e-7, d half the 4096-angle spacing:
+        # negative on an arc of 9e-4 rad between two samples, which both
+        # read +1.9e-7, below the bound max|h''| D^2 / 8 = 2.9e-7
+        d = math.pi / 4096
+        A = 1.0 + 1e-7
+        t = 2.0 * math.pi * np.arange(4096) / 4096
+        assert np.min(1.0 + A * np.cos(t - d)) > 0.0
+        with pytest.raises(ValueError, match="interior"):
+            FourierBody2D([1.0, A * math.cos(d)], [0.0, A * math.sin(d)])
+        # a disk centred at (0.99, 0) keeps a margin of 0.01 and builds
+        assert FourierBody2D([1.0, 0.99]).support([-1.0, 0.0]) == \
+            pytest.approx(0.01)
+
     def test_reuleaux_width(self):
         with pytest.raises(ValueError):
             ReuleauxTriangle2D(-1.0)
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda v: Superellipse2D(v), "exponent"),
+        (lambda v: ReuleauxTriangle2D(v), "width"),
+        (lambda v: FourierBody2D([1.0, 0.0, v]), "interior"),
+    ], ids=["superellipse", "reuleaux", "fourier"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_rejected(self, make, name, value):
+        # a NaN or infinite parameter fails the parameter's own check
+        with pytest.raises(ValueError, match=name):
+            make(value)
 
     def test_minkowski_dim_mismatch(self):
         with pytest.raises(ValueError):
@@ -986,6 +1015,23 @@ class TestGauge:
         P = boundary_points(G, U)  # works off arc sectors; vertices included
         g = G.gauge_many(P)
         assert np.allclose(g, 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("body", [
+        Ball(1.0, center=[0.2, -0.1]),
+        Ellipsoid(np.array([[3.0, 1.2], [1.2, 1.5]]), center=[0.3, -0.2]),
+        Superellipse2D(4.0),
+        ReuleauxTriangle2D(1.0),
+        Dilate(ReuleauxTriangle2D(1.0), -2.0),
+    ], ids=["ball", "ellipse", "superellipse", "reuleaux", "dilated reuleaux"])
+    def test_closed_argmax_gauge_is_gauge_many(self, body):
+        # a closed gauge answers gauge_argmax from its own closed form: one
+        # row's gauge is gauge_many's bit for bit, and the direction is the
+        # outward normal at v / g, where <v / g, u> = h(u)
+        rng = np.random.default_rng(29)
+        for v in rng.normal(size=(200, body.dim)):
+            g, u = body.gauge_argmax(v)
+            assert g == body.gauge_many(v)[0]
+            assert (v / g) @ u == pytest.approx(body.support(u), rel=1e-12)
 
     def test_contains(self):
         G = Ellipsoid.from_semiaxes(2.0, 1.0)

@@ -9,9 +9,10 @@ import sys
 import pytest
 
 from kdense.analysis import kp1_check, krantz_parks_check
-from kdense.bodies import (Ball, Dilate, FourierBody2D, ReuleauxTriangle2D,
-                           curvature, difference_body, sphere_directions)
-from kdense.cli import main
+from kdense.bodies import (Ball, ConvexBody, Dilate, FourierBody2D,
+                           ReuleauxTriangle2D, curvature, difference_body,
+                           sphere_directions)
+from kdense.cli import main, run
 from kdense.config import load_config
 from kdense.errors import SingularCurvature
 
@@ -205,6 +206,25 @@ class TestVerify:
                         continue
                     assert (math.isnan(x) and math.isnan(y)) or math.isclose(
                         x, y, rel_tol=1e-9, abs_tol=1e-12), (name, row_want)
+
+
+class TestReport:
+    def test_one_k_search_per_touch_point(self, tmp_path, monkeypatch):
+        # K's normal at xbar - x comes from the gauge search that checks
+        # the touch point: on the shipped ellipse, one sphere search of
+        # K = G - G per point, and the closed-form G searches nothing
+        calls = []
+
+        def spy(body, pts, _orig=ConvexBody._gauge_exact):
+            calls.append((body.kind, len(pts)))
+            return _orig(body, pts)
+
+        monkeypatch.setattr(ConvexBody, "_gauge_exact", spy)
+        cfg = load_config(SHIPPED)
+        assert run(cfg, kinds=("report",), out_dir=str(tmp_path)) == 0
+        spec, = (s for s in cfg.experiment_specs if s.kind == "report")
+        assert spec.get("body") == "ellipse"
+        assert calls == [("minkowski_sum", 1)] * spec.get_int("points", 16)
 
 
 class TestExitCodes:

@@ -40,15 +40,20 @@ class PowerLawFit:
 def fit_power_law(samples, rel_floor=0.0):
     """Weighted least squares of log f against log eps.
 
-    ``samples`` is a list of (eps, f, stderr) with positive f.  Weights are
-    the inverse variances of log f; ``rel_floor`` adds a relative error
-    floor guarding against over-trusting rungs with tiny error bars.
+    ``samples`` is a list of (eps, f, stderr), all finite, with positive f.
+    Weights are the inverse variances of log f; ``rel_floor`` adds a
+    relative error floor guarding against over-trusting rungs with tiny
+    error bars.
     """
     if len(samples) < 4:
         raise ValueError("need at least 4 ladder samples")
     eps = np.array([s[0] for s in samples], dtype=float)
     f = np.array([s[1] for s in samples], dtype=float)
     sig = np.array([s[2] for s in samples], dtype=float)
+    # a NaN passes every comparison below as false
+    if not (np.isfinite(eps).all() and np.isfinite(f).all()
+            and np.isfinite(sig).all()):
+        raise ValueError("ladder samples must be finite")
     if np.any(f <= 0):
         raise ValueError("ladder values must be positive")
     if np.any(f <= sig):

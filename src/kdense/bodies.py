@@ -24,12 +24,14 @@ the gauge reads the default size, the support-ratio scans any size.
 One sphere search for the largest support ratio serves gauges, normals
 and circumscribed ratios, whose scan also screens touch points; closed
 gauges answer ``gauge_argmax`` in closed form too.  ``gauge_many``
-is exact; membership is the bounded path.  A 2D point is bracketed by the
-grid cell of its angle, from below by the outer polygon of the grid normals
-and from above by the chord between two boundary points; only the points
-those bounds leave undecided are searched, and 3D refines coarse gauges
-near 1.  ``contains_many`` bounds several point sets one by one and refines
-the points left open in all of them in one sphere search.
+is exact; membership is the bounded path.  A 2D point is first compared
+with an ellipse sandwich certified by the inner polygon of the grid chords
+and the outer polygon of the grid normals; a point between is bracketed by
+the grid cell of its angle, from below by the outer polygon and from above
+by the chord between two boundary points; only the points those bounds
+leave undecided are searched, and 3D refines coarse gauges near 1.
+``contains_many`` bounds several point sets one by one and refines the
+points left open in all of them in one sphere search.
 """
 
 import math
@@ -51,6 +53,16 @@ GAUGE_BLOCK_RATIOS = 2 ** 17
 # 3D membership refines coarse gauges within this of 1; 2D decides it by
 # certified bounds instead
 GAUGE_REFINE_MARGIN = 0.02
+# the 2D ellipse sandwich (``_ellipse_sandwich``) decides a point only this
+# far, relatively, inside s_in^2 or beyond s_out^2 (1 + MEMBERSHIP_TOL)^2.
+# Q(p) = p' M^-1 p is a sum of three products: its rounding error is below
+# 4 eps (|a| x^2 + 2|b x y| + |c| y^2) <= 8 eps cond(M) Q, at most 9e-8 Q
+# for cond(M) <= SANDWICH_MAX_COND, and s_in^2 and s_out^2 are such values
+# too; the bracket's bounds hold to a few ulps.  So 1e-6 keeps every point
+# the sandwich decides at least 4e-7 from 1 in gauge, on the side where the
+# bracket decides it the same way.
+SANDWICH_MARGIN = 1e-6
+SANDWICH_MAX_COND = 1e8
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +392,76 @@ def _angle_bucket(psi, n):
     return np.clip(b, 0, n - 1)
 
 
+def _quadratic_form(P, Minv):
+    """Q(p) = p' M^-1 p for each row p of the 2-column P."""
+    t = P @ Minv
+    t *= P
+    return t[:, 0] + t[:, 1]
+
+
+def _ellipse_sandwich(U, H, X, D):
+    """The 2D membership sandwich (M^-1, s_in^2, s_out^2), or None.
+
+    U holds the uniformly spaced grid normals in angle order, H the support
+    values on them, X the boundary points grad H(u_i) and D the chords
+    X_{i+1} - X_i, cyclically.  M is the least-squares fit of
+    H(u_i)^2 = u_i' M u_i, exact for an ellipse, and Q(q) = q' M^-1 q.
+    Both radii are certified for any M, so the fit only sets how many
+    points the sandwich decides:
+
+    - s_in^2 is the least Q over the chords X_i X_{i+1}, each minimized in
+      closed form with its parameter clamped to [0, 1].  The chord cycle
+      winds once around the origin and never enters the open ellipse
+      {Q < s_in^2}, which holds the origin; so every point of that ellipse
+      has winding number 1, lies in the inner polygon, and so in K.
+    - s_out^2 is the largest Q over the outer polygon's vertices V_i, where
+      the facets <y, u_i> = H(u_i) and <y, u_{i+1}> = H(u_{i+1}) meet.  A
+      point z inside every facet sees V_i within a right angle of the
+      bisector of u_i and u_{i+1}, so with equal spacing the vertex cycle
+      winds once around z; the cycle lies in the convex {Q <= s_out^2}, so
+      z does too, and K lies in the outer polygon.
+
+    Edge half-planes of the chords give no such bound: near-duplicate X_i
+    at a vertex make edges whose offsets are rounding noise.  A point with
+    Q <= q_in = s_in^2 (1 - SANDWICH_MARGIN) lies strictly inside the inner
+    polygon; one with Q > q_out = s_out^2 (1 + MEMBERSHIP_TOL)^2
+    (1 + SANDWICH_MARGIN) lies beyond the outer polygon dilated by
+    1 + MEMBERSHIP_TOL.  None when the data are not finite, M is not
+    positive definite or its condition exceeds SANDWICH_MAX_COND, or the
+    chords do not wind once around the origin.
+    """
+    if not (np.isfinite(H).all() and np.isfinite(X).all()):
+        return None
+    # H^2 = (m11 + m22) / 2 + (m11 - m22) / 2 cos 2t + m12 sin 2t, and on
+    # equally spaced angles t the three terms are orthogonal: each least-
+    # squares coefficient is one mean, with no linear solve
+    ux, uy = U[:, 0], U[:, 1]
+    h2 = H * H
+    mean, half = h2.mean(), 2.0 * np.mean(h2 * (ux * ux - uy * uy))
+    m11, m12, m22 = mean + half, 4.0 * np.mean(h2 * ux * uy), mean - half
+    det = m11 * m22 - m12 * m12
+    big = 0.5 * (m11 + m22 + math.hypot(m11 - m22, 2.0 * m12))
+    if not (m11 > 0.0 and det > 0.0 and big * big <= SANDWICH_MAX_COND * det):
+        return None
+    Minv = np.array([[m22, -m12], [-m12, m11]]) / det
+    turn = np.arctan2(X[:, 0] * D[:, 1] - X[:, 1] * D[:, 0],
+                      np.einsum("ij,ij->i", X, X + D)).sum()
+    if not abs(turn - 2.0 * np.pi) < np.pi:
+        return None
+    QD = _quadratic_form(D, Minv)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -np.einsum("ij,ij->i", X @ Minv, D) / QD
+    t = np.clip(np.where(QD > 0.0, t, 0.0), 0.0, 1.0)
+    s_in2 = _quadratic_form(X + t[:, None] * D, Minv).min()
+    Un, Hn = np.roll(U, -1, axis=0), np.roll(H, -1)
+    cross = ux * Un[:, 1] - uy * Un[:, 0]
+    V = np.column_stack([H * Un[:, 1] - Hn * uy, ux * Hn - Un[:, 0] * H])
+    s_out2 = _quadratic_form(V / cross[:, None], Minv).max()
+    if not (s_in2 > 0.0 and np.isfinite(s_out2)):
+        return None
+    return Minv, s_in2, s_out2
+
+
 def _sqrt(x):
     """Square root of a float or an array; both are correctly rounded, so
     a stacked entry equals its single-direction value."""
@@ -415,6 +497,7 @@ class ConvexBody:
         self.dim = dim
         self._grids = {}
         self._cell_cache = None
+        self._sandwich = None
 
     # -- support ------------------------------------------------------------
 
@@ -502,16 +585,20 @@ class ConvexBody:
         are the x and y of u_i / H(u_i), of u_{i+1} / H(u_{i+1}), and of W_i,
         the outward normal of the chord X_i X_{i+1} over its offset.  A
         vertex cell has zero width and a NaN W_i; the lookup never picks it.
+        The same chords and facets certify the ellipse sandwich of
+        ``contains_many``, built here once and kept as ``_sandwich``
+        (``_ellipse_sandwich``: M^-1, s_in^2 and s_out^2, or None).
         """
         if self._cell_cache is None:
-            U, _, Uh = self._gauge_grid()
+            U, h, Uh = self._gauge_grid()
             X = self.gradient_hom(U)
+            d = np.roll(X, -1, axis=0) - X
+            self._sandwich = _ellipse_sandwich(U, h, X, d)
             phi = np.arctan2(X[:, 1], X[:, 0])
             # start at the first boundary point past the angle pi
             order = np.roll(np.arange(len(U)),
                             -1 - np.argmax(phi - np.roll(phi, -1)))
             phi = np.maximum.accumulate(phi[order])
-            d = np.roll(X, -1, axis=0) - X
             nrm = np.column_stack([d[:, 1], -d[:, 0]])
             with np.errstate(divide="ignore", invalid="ignore"):
                 W = nrm / np.einsum("ij,ij->i", nrm, X)[:, None]
@@ -626,20 +713,48 @@ class ConvexBody:
         """Membership test; points within the gauge tolerance count inside."""
         return self.contains_many([pts])[0]
 
+    def _membership_bounds(self, p):
+        """Verdicts of the rows of p by bounds alone, the rows they leave
+        open, and those rows' grid indices and lower bounds.  In 2D the
+        ellipse sandwich of ``_gauge_cells`` decides the rows well inside or
+        outside it, and only the rows between reach ``_gauge_bounds``; a
+        row the sandwich decides is one the bracket decides the same way, so
+        the verdicts and open rows are the bracket's bit for bit."""
+        sandwich = None
+        if self.dim == 2:
+            self._gauge_cells()  # builds the sandwich with the cells
+            sandwich = self._sandwich
+        if sandwich is None:
+            g, idx, m = self._gauge_bounds(p)
+            m = np.flatnonzero(m)
+            return _inside(g), m, idx[m], g[m]
+        Minv, s_in2, s_out2 = sandwich
+        q_in = s_in2 * (1.0 - SANDWICH_MARGIN)
+        q_out = s_out2 * (1.0 + MEMBERSHIP_TOL) ** 2 * (1.0 + SANDWICH_MARGIN)
+        with np.errstate(invalid="ignore"):  # inf - inf in a row's Q
+            Q = _quadratic_form(p, Minv)
+        inside = Q <= q_in
+        # a NaN row is outside, as its NaN bracket says
+        rest = np.flatnonzero((Q > q_in) & (Q <= q_out))
+        g, idx, m = self._gauge_bounds(p.take(rest, axis=0))
+        inside[rest] = _inside(g)
+        m = np.flatnonzero(m)
+        return inside, rest[m], idx[m], g[m]
+
     def contains_many(self, point_sets):
         """``contains`` of each of an iterable of point sets, one bool array
-        per set, equal to it bit for bit: bounds set by set, then one sphere
-        search for the open rows of all sets, each row on its own.  Only a
-        set's verdicts and open rows outlive its bounds, so sets made on
-        demand are never all held."""
+        per set, equal to it bit for bit: bounds set by set (in 2D the
+        ellipse sandwich, then the chord bracket on the rows between), then
+        one sphere search for the open rows of all sets, each row on its
+        own.  Only a set's verdicts and open rows outlive its bounds, so
+        sets made on demand are never all held."""
         out, todo = [], []
         for p in point_sets:
             p = _point_rows(p)
-            g, idx, m = self._gauge_bounds(p)
-            m = np.flatnonzero(m)
-            out.append((_inside(g), m))
+            v, m, idx, g = self._membership_bounds(p)
+            out.append((v, m))
             if len(m):
-                todo.append((p[m], idx[m], g[m]))
+                todo.append((p[m], idx, g))
         if todo:
             pts, idx, g0 = (np.concatenate(t) for t in zip(*todo))
             inside = _inside(self._gauge_refine(pts, idx, g0)[0])
@@ -729,7 +844,15 @@ def _offset_quadric_gauge(pts, Qinv, center):
     Qc = Qinv @ c
     b = pts @ Qc
     q = np.einsum("ij,ij->i", pts @ Qinv, pts)
-    return (-b + np.sqrt(b * b + a * q)) / a
+    # (-b + sqrt(b * b + a * q)) / a, in place: products and sums commute
+    # and -b + s is s - b, so every rounding is the plain expression's
+    q *= a
+    g = b * b
+    g += q
+    np.sqrt(g, out=g)
+    g -= b
+    g /= a
+    return g
 
 
 def _offset_quadric_argmax(v, Qinv, center):

@@ -130,6 +130,18 @@ def _validate_experiment(spec):
     if "seed" in spec.options and spec.get_int("seed", 0) < 0:
         raise ConfigError(f"experiment {spec.name}: key 'seed' must be "
                           "non-negative")
+    # NaN fails every comparison, so each check asks for the good range
+    if not all(np.isfinite(r) and r > 0.0 for r in spec.get_floats("r", ())):
+        raise ConfigError(f"experiment {spec.name}: key 'r' must hold finite "
+                          "positive radii")
+    if "eps0" in spec.options and not 0.0 < spec.get_float("eps0", 0.1) < 1.0:
+        raise ConfigError(f"experiment {spec.name}: key 'eps0' must lie "
+                          "strictly between 0 and 1")
+    for key in ("budget", "tol"):
+        v = spec.get_float(key, 1.0)
+        if not (np.isfinite(v) and v > 0.0):
+            raise ConfigError(f"experiment {spec.name}: key '{key}' must be "
+                              "finite and positive")
 
 
 def _floats(text, name, key):

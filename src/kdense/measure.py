@@ -12,6 +12,7 @@ x + rK sharing one G counts each copy on the points inside G, and the
 points K's bounds leave open in every copy share one sphere search.
 """
 
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -148,6 +149,19 @@ def _result(counts, n, box):
     return IntegrationResult(value, stderr, "qmc", n * replicates)
 
 
+def _box_points(unit, lo, hi):
+    """lo + unit * (hi - lo) bit for bit, with one n-row array: IEEE
+    addition commutes, so adding lo in place rounds the same.  It works
+    column by column, which numpy loops over several times faster than a
+    broadcast along rows of two or three."""
+    w = hi - lo
+    pts = np.empty_like(unit)
+    for i in range(len(w)):
+        np.multiply(unit[:, i], w[i], out=pts[:, i])
+        pts[:, i] += lo[i]
+    return pts
+
+
 def _qmc_pass(body, n, replicates, seed, columns=None, keep=None):
     """Per replicate: n Sobol points scaled into the body's box, the rows
     ``keep(pts)`` passes if given, and one membership test of the body.
@@ -160,7 +174,7 @@ def _qmc_pass(body, n, replicates, seed, columns=None, keep=None):
     lo, hi = box = bounding_box(body)
 
     def one(rep):
-        pts = lo + _sobol(len(lo), n, seed, rep) * (hi - lo)
+        pts = _box_points(_sobol(len(lo), n, seed, rep), lo, hi)
         if keep is not None:
             pts = pts.compress(keep(pts), axis=0)
         inner = pts.compress(body.contains(pts), axis=0)
@@ -221,12 +235,19 @@ def volume(body, method="auto", n=None, qmc_points=DEFAULT_QMC_POINTS,
 def _copy_counts(G, K, copies, n, replicates, seed):
     """QMC counts of G and of G intersected with each copy x + rK.
 
-    ``copies`` is a sequence of pairs (x, r); ``_qmc_pass`` tests G's
-    membership once per replicate, and its columns are the copies.  Each
-    copy keeps the points inside G whose (p - x) / r lie in K's
-    ``bounding_box``, and one ``K.contains_many`` call tests the kept points
-    of every copy: the bounds of K's gauge decide each copy's points, and
-    the points they leave open in all copies share one sphere search.
+    ``copies`` is a sequence of pairs (x, r), each x a finite point and
+    each r finite and positive; ``_qmc_pass`` tests G's membership once per
+    replicate, and its columns are the copies.  Each copy keeps the points
+    inside G whose (p - x) / r lie in K's ``bounding_box``, and one
+    ``K.contains_many`` call tests the kept points of every copy: the
+    bounds of K's gauge (in 2D the ellipse sandwich, then the chord
+    bracket) decide each copy's points, and the points they leave open in
+    all copies share one sphere search.  The box is first taken in G's
+    frame: per replicate the coordinates of the points inside G are stored
+    as contiguous columns, a copy keeps the rows inside x + r [lo, hi]
+    widened by a rounding pad, and (p - x) / r and the box test in K's frame
+    run on those rows only, so K receives the rows it would from the box
+    test on all of them.
     Returns (inside, hits, box): inside[i] is the number of the n points of
     replicate i inside G, hits[i, j] the number of those inside copy j as
     well, and box is G's box.  The deficit count of copy j is
@@ -245,23 +266,40 @@ def _copy_counts(G, K, copies, n, replicates, seed):
     would wrongly count inside is counted outside.
     """
     lo, hi = bounding_box(K)
-    copies = [(np.asarray(x, dtype=float), r) for x, r in copies]
-    if any(r <= 0 for _, r in copies):
-        raise ValueError("dilation parameter r must be positive")
+    checked = []
+    for x, r in copies:
+        x, r = np.asarray(x, dtype=float), float(r)
+        if not (math.isfinite(r) and r > 0.0):
+            raise ValueError(f"dilation parameter r must be finite and "
+                             f"positive, not {r}")
+        if x.shape != (G.dim,) or not np.isfinite(x).all():
+            raise ValueError(f"copy point x must be a finite {G.dim}-vector")
+        # p - x and the division by r round by under an ulp of |x| and of
+        # r |lo|, r |hi|: the pad covers that many times over, so the box in
+        # G's frame keeps every row the box in K's frame keeps
+        pad = 1e-9 * (np.abs(x) + r * (hi - lo))
+        checked.append((x, r, x + r * lo - pad, x + r * hi + pad))
 
-    def near_box(q):
-        keep = (q[:, 0] >= lo[0]) & (q[:, 0] <= hi[0])
-        for i in range(1, K.dim):
-            keep &= (q[:, i] >= lo[i]) & (q[:, i] <= hi[i])
-        return q.compress(keep, axis=0)
+    def in_box(cols, a, b):
+        keep = (cols[0] >= a[0]) & (cols[0] <= b[0])
+        for i in range(1, len(cols)):
+            keep &= (cols[i] >= a[i]) & (cols[i] <= b[i])
+        return keep
 
     def hits(inner):
-        # every copy's (p - x) / r goes to one buffer, rounded as the
-        # plain expression; near_box copies its rows out before the next
-        q = np.empty_like(inner)
-        sets = K.contains_many(
-            near_box(np.divide(np.subtract(inner, x, out=q), r, out=q))
-            for x, r in copies)
+        cols = [np.ascontiguousarray(c) for c in inner.T]
+
+        def near(x, r, a, b):
+            # the rows in G's frame, then (p - x) / r and K's box on them;
+            # x is subtracted column by column, which numpy loops over
+            # faster than a broadcast along rows of two or three
+            q = inner.compress(in_box(cols, a, b), axis=0)
+            for i in range(len(cols)):
+                np.subtract(q[:, i], x[i], out=q[:, i])
+            np.divide(q, r, out=q)
+            return q.compress(in_box(q.T, lo, hi), axis=0)
+
+        sets = K.contains_many(near(*c) for c in checked)
         return [int(np.count_nonzero(h)) for h in sets]
 
     return _qmc_pass(G, n, replicates, seed, columns=hits)

@@ -61,6 +61,15 @@ class TestFitPowerLaw:
             fit_power_law([(0.1, -1.0, 0.0), (0.05, 1.0, 0.0),
                            (0.025, 1.0, 0.0), (0.0125, 1.0, 0.0)])
 
+    @pytest.mark.parametrize("bad", [(0, np.nan), (1, np.nan), (2, np.nan),
+                                     (0, np.inf), (1, np.inf), (2, np.inf)])
+    def test_non_finite_samples(self, bad):
+        # a NaN f passed the positivity check and fitted a NaN exponent
+        samples = [[e, 5.0 * e ** 1.5, 0.0] for e in 0.1 * 0.5 ** np.arange(5)]
+        samples[2][bad[0]] = bad[1]
+        with pytest.raises(ValueError, match="finite"):
+            fit_power_law([tuple(s) for s in samples])
+
     def test_degenerate_when_noise_dominates(self):
         eps = 0.1 * 0.5 ** np.arange(5)
         samples = [(e, 1e-6, 1e-3) for e in eps]

@@ -1311,3 +1311,114 @@ class TestGaugeBracket:
             P = lo + rng.random((2 ** 17, 2)) * (hi - lo)
             wrong = np.flatnonzero(K.contains(P) != closed.contains(P))
             assert wrong.size == 0, f"{wrong.size} points misclassified"
+
+
+class TestEllipseSandwich:
+    """2D membership first compares Q(p) = p' M^-1 p with two certified
+    radii: s_in E lies in the inner polygon of the grid chords, and the
+    outer polygon of the grid facets lies in s_out E.  Only the points
+    between reach the chord bracket, and every verdict is the bracket's."""
+
+    TOL = bodies.MEMBERSHIP_TOL
+
+    @staticmethod
+    def _bodies():
+        E = Ellipsoid.from_semiaxes
+        R = Translate(ReuleauxTriangle2D(1.0), [0.05, -0.03])
+        return [difference_body(E(2.0, 1.0)), difference_body(E(200.0, 1.0)),
+                difference_body(Superellipse2D(4.0)),
+                difference_body(Superellipse2D(8.0)),
+                difference_body(ReuleauxTriangle2D(1.0)),
+                # near-duplicate boundary points at the three vertices
+                R, FourierBody2D([1.0, 0.0, 0.0, 0.1]), Dilate(R, -1.3)]
+
+    @staticmethod
+    def _sandwich(K):
+        K._gauge_cells()
+        assert K._sandwich is not None, K
+        return K._sandwich
+
+    @staticmethod
+    def _q(P, Minv):
+        return np.einsum("ij,jk,ik->i", P, Minv, P)
+
+    @staticmethod
+    def _bracket_verdicts(K, P):
+        """Membership by the chord bracket and the sphere search alone."""
+        g, idx, m = ConvexBody._gauge_bounds(K, P)
+        inside = g <= 1.0 + TestEllipseSandwich.TOL
+        m = np.flatnonzero(m)
+        if len(m):
+            g_m = K._gauge_refine(P[m], idx[m], g[m])[0]
+            inside[m] = g_m <= 1.0 + TestEllipseSandwich.TOL
+        return inside
+
+    def test_chords_stay_outside_the_inner_ellipse(self):
+        t = np.linspace(0.0, 1.0, 1001)
+        for K in self._bodies():
+            Minv, s_in2, _ = self._sandwich(K)
+            X = K.gradient_hom(K._gauge_grid()[0])
+            D = np.roll(X, -1, axis=0) - X
+            Q = [self._q(X + ti * D, Minv) for ti in t]
+            assert np.min(Q) >= s_in2 * (1.0 - 1e-12), K
+            # the closed-form minimum is the sampled one, to the sampling
+            assert np.min(Q) <= s_in2 * (1.0 + 1e-5), K
+
+    def test_outer_vertices_lie_in_the_outer_ellipse(self):
+        for K in self._bodies():
+            Minv, _, s_out2 = self._sandwich(K)
+            U, H, _ = K._gauge_grid()
+            V = np.array([np.linalg.solve(np.array([U[i], U[i - 1]]),
+                                          [H[i], H[i - 1]])
+                          for i in range(len(U))])
+            Q = self._q(V, Minv)
+            assert Q.max() <= s_out2 * (1.0 + 1e-12), K
+            assert Q.max() >= s_out2 * (1.0 - 1e-12), K
+
+    def test_ellipse_fit_is_exact(self):
+        # H^2 of an ellipse is a quadratic form: both radii are 1 to the
+        # grid's resolution
+        E = Ellipsoid(_rotation(0.4) @ np.diag([9.0, 1.0]) @ _rotation(0.4).T)
+        Minv, s_in2, s_out2 = self._sandwich(difference_body(E))
+        assert np.allclose(Minv, np.linalg.inv(4.0 * E.Q), rtol=1e-10)
+        assert 1.0 - 1e-3 < s_in2 < 1.0 < s_out2 < 1.0 + 1e-3
+
+    def _points(self, K, rng):
+        """Random points, points just inside and outside both thresholds,
+        and points on the chords."""
+        Minv, s_in2, s_out2 = self._sandwich(K)
+        lo, hi = bounding_box(K)
+        mid, half = 0.5 * (lo + hi), 0.75 * (hi - lo)
+        sets = [mid + half * rng.uniform(-1.0, 1.0, size=(10 ** 5, 2))]
+        d = rng.normal(size=(2000, 2))
+        q = self._q(d, Minv)
+        for level in (s_in2, s_out2 * (1.0 + self.TOL) ** 2):
+            for f in (1.0 - 1e-12, 1.0 + 1e-12):
+                sets.append(d * np.sqrt(level * f / q)[:, None])
+        X = K.gradient_hom(K._gauge_grid()[0])
+        t = rng.random((len(X), 1))
+        sets.append(X + t * (np.roll(X, -1, axis=0) - X))
+        return sets
+
+    def test_verdicts_equal_the_bracket(self):
+        rng = np.random.default_rng(31)
+        for K in self._bodies():
+            for P in self._points(K, rng):
+                got = ConvexBody.contains_many(K, [P])[0]
+                assert np.array_equal(got, self._bracket_verdicts(K, P)), K
+
+    def test_non_finite_rows(self):
+        K = difference_body(Superellipse2D(4.0))
+        inf, nan = np.inf, np.nan
+        P = np.array([[nan, 0.0], [0.0, nan], [inf, 0.0], [-inf, 1.0],
+                      [inf, inf], [inf, -inf], [0.5, inf], [0.1, 0.2]])
+        assert np.array_equal(K.contains(P), self._bracket_verdicts(K, P))
+        assert K.contains(P).tolist() == [False] * 7 + [True]
+
+    def test_no_sandwich_for_ill_conditioned_fits(self):
+        # cond(M) = 4e8 exceeds SANDWICH_MAX_COND: the bracket decides all
+        K = difference_body(Ellipsoid.from_semiaxes(2.0, 1e-4))
+        K._gauge_cells()
+        assert K._sandwich is None
+        P = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0], [0.0, 1e-3]])
+        assert K.contains(P).tolist() == [True, True, False, False]

@@ -407,7 +407,14 @@ replicates = 2
                      id="x_direction = nan 0"),
         pytest.param(_bad_experiment_key("x_direction = 1 x"),
                      id="x_direction = 1 x"),
-        pytest.param(_bad_experiment_key("seed = -1"), id="seed = -1")])
+        pytest.param(_bad_experiment_key("seed = -1"), id="seed = -1"),
+        # an infinite r read as a constant spread, a NaN eps0 as a NaN
+        # power law; the others raised a traceback
+        *[pytest.param(_bad_experiment_key(line), id=line) for line in (
+            "r = 0.5 inf", "r = nan", "r = 0", "r = -0.5",
+            "eps0 = nan", "eps0 = inf", "eps0 = -0.1", "eps0 = 0", "eps0 = 1",
+            "budget = nan", "budget = inf", "budget = 0",
+            "tol = nan", "tol = -1e-8")]])
     def test_bad_quadric_rejected(self, tmp_path, capsys, body):
         # non-finite data, or an origin outside or on the boundary; or a
         # bad key of an experiment x on a good body

@@ -12,7 +12,7 @@ from scipy.special import gamma
 from scipy.stats import qmc as scipy_qmc
 
 import kdense
-from kdense import measure, qmc
+from kdense import bodies, measure, qmc
 from kdense.analysis import halfvolume_condition_check, kdense_spread
 
 from kdense.bodies import (Ball, ConvexBody, Dilate, Ellipsoid, MinkowskiSum,
@@ -241,6 +241,19 @@ class TestIntersectionVolume:
         with pytest.raises(ValueError):
             intersection_volume(Ball(1.0), Ball(1.0), np.zeros(2), 0.0)
 
+    @pytest.mark.parametrize("x, r", [
+        ([1.0, 0.0], math.inf), ([1.0, 0.0], math.nan),
+        ([1.0, 0.0], -0.5), ([1.0, 0.0], -math.inf),
+        ([math.nan, 0.0], 0.5), ([math.inf, 0.0], 0.5),
+        ([1.0, 0.0, 0.0], 0.5), ([1.0], 0.5)])
+    def test_bad_copy_rejected(self, x, r):
+        # an infinite r used to read as a constant spread of 0, a NaN r as
+        # not constant
+        G = Ellipsoid.from_semiaxes(2.0, 1.0)
+        with pytest.raises(ValueError):
+            _copy_counts(G, difference_body(G), [([2.0, 0.0], 0.5), (x, r)],
+                         2 ** 10, 2, 0)
+
 
 class TestPrunedPredicates:
     """The QMC routes skip K's gauge where it cannot matter; the counts
@@ -330,6 +343,55 @@ class TestPrunedPredicates:
         kdense_spread(G, K, 0.5, m=16, n=self.N, replicates=4, seed=0)
         assert len(rows) == 4 and sum(rows) == 28
 
+    def test_sandwich_leaves_few_rows_to_the_bracket(self, monkeypatch):
+        # the ellipse sandwich decides the points far from K's boundary:
+        # of the rows the sweep gives K, few reach the chord bracket
+        G = Ellipsoid.from_semiaxes(2.0, 1.0)
+        K = difference_body(G)
+        given, bracketed = [], []
+
+        def contains_many(sets, _orig=K.contains_many):
+            sets = [np.asarray(P) for P in sets]
+            given.extend(len(P) for P in sets)
+            return _orig(sets)
+
+        def bracket(pts, _orig=K._gauge_bracket):
+            bracketed.append(len(pts))
+            return _orig(pts)
+
+        monkeypatch.setattr(K, "contains_many", contains_many)
+        monkeypatch.setattr(K, "_gauge_bracket", bracket)
+        kdense_spread(G, K, 0.5, m=16, n=self.N, replicates=4, seed=0)
+        assert len(given) == 64 and sum(given) > 64 * self.N // 10
+        assert sum(bracketed) <= 0.05 * sum(given)
+
+    def test_box_in_g_frame_keeps_k_rows(self, monkeypatch):
+        # each copy's box is taken in G's frame first; K still receives
+        # exactly the rows (p - x) / r of the points in G inside its box
+        for G, K in self._pairs():
+            lo, hi = bounding_box(K)
+            copies = [(x, r)
+                      for x in boundary_points(G, sphere_directions(G.dim, 3))
+                      for r in (0.1, 0.5, 0.99)]
+            got = []
+
+            def contains_many(sets, _orig=K.contains_many):
+                sets = [np.array(P) for P in sets]
+                got.append(sets)
+                return _orig(sets)
+
+            monkeypatch.setattr(K, "contains_many", contains_many)
+            _copy_counts(G, K, copies, self.N, 2, 0)
+            monkeypatch.undo()
+            glo, ghi = bounding_box(G)
+            for rep, sets in enumerate(got):
+                P = glo + _sobol(G.dim, self.N, 0, rep) * (ghi - glo)
+                P = P[G.contains(P)]
+                for (x, r), Q in zip(copies, sets):
+                    want = (P - x) / r
+                    want = want[((want >= lo) & (want <= hi)).all(axis=1)]
+                    assert np.array_equal(Q, want)
+
     def test_halfspace_cut(self):
         # alone, and as the columns of the half-volume battery's one pass:
         # V(K) and each cut are the plain indicators' counts
@@ -378,6 +440,33 @@ class TestPrunedPredicates:
         halfspace_cut_volume(K, u, n=self.N, replicates=2, seed=0)
         assert rows == kept
         assert all(k < 0.6 * self.N for k in kept)
+
+
+class TestInPlaceTemporaries:
+    """Expressions computed in place to save n-row temporaries round as
+    the plain expressions, bit for bit."""
+
+    def test_box_points(self):
+        for dim in (2, 3):
+            lo, hi = bounding_box(Ellipsoid.from_semiaxes(
+                *[2.0, 1.0, 0.7][:dim], center=[0.3, -0.1, 0.2][:dim]))
+            unit = _sobol(dim, 2 ** 12, 5, 1)
+            assert np.array_equal(measure._box_points(unit, lo, hi),
+                                  lo + unit * (hi - lo))
+
+    def test_offset_quadric_gauge(self):
+        rng = np.random.default_rng(41)
+        for dim in (2, 3):
+            A = rng.normal(size=(dim, dim))
+            Qinv = np.linalg.inv(A @ A.T + np.eye(dim))
+            c = 0.1 * rng.normal(size=dim)
+            pts = rng.normal(size=(5000, dim))
+            a = 1.0 - c @ Qinv @ c
+            b = pts @ (Qinv @ c)
+            q = np.einsum("ij,ij->i", pts @ Qinv, pts)
+            want = (-b + np.sqrt(b * b + a * q)) / a
+            got = bodies._offset_quadric_gauge(pts, Qinv, c)
+            assert np.array_equal(got, want)
 
 
 class TestHalfspaceCut:

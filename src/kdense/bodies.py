@@ -29,9 +29,12 @@ with an ellipse sandwich certified by the inner polygon of the grid chords
 and the outer polygon of the grid normals; a point between is bracketed by
 the grid cell of its angle, from below by the outer polygon and from above
 by the chord between two boundary points; only the points those bounds
-leave undecided are searched, and 3D refines coarse gauges near 1.
-``contains_many`` bounds several point sets one by one and refines the
-points left open in all of them in one sphere search.
+leave undecided are searched, and the search drops a point as soon as the
+same two bounds, taken at its iterate and at its bracket's ends, decide
+it.  3D refines coarse gauges near 1.  ``contains_many`` bounds several
+point sets one by one and refines the points left open in all of them in
+one sphere search.  The sandwich also serves copy sweeps, which decide
+most points in their own frame (``_sweep_sandwich``).
 """
 
 import math
@@ -264,7 +267,8 @@ def _optimality_residual(K, A, U, tangents):
     held fixed (its derivative vanishes at the optimum), J = T'(D_K - ray D_A)
     is minus the derivative of r.  For point rows grad H_A = p is constant
     and D_A = 0, so ray D_A is skipped; it is NaN only where the ray or p is
-    not finite, and stays NaN there.  Returns r (n, k) and J (n, k, k).
+    not finite, and stays NaN there.  Returns r (n, k), J (n, k, k), and
+    the boundary points x(u) (n, N) and rays (n,) they were built from.
     """
     T = np.stack(tangents)
     n = len(U)
@@ -283,10 +287,28 @@ def _optimality_residual(K, A, U, tangents):
         D -= ray[:, None] * (Y[n:].reshape(len(T), n, -1) - a)
     D /= FD_STEP
     r = np.einsum("anj,nj->na", T, ray[:, None] * a - x)
-    return r, np.einsum("anj,bnj->nab", T, D)
+    return r, np.einsum("anj,bnj->nab", T, D), x, ray
 
 
-def _ascend_2d(K, A, U, n_grid):
+def _chord_gauge(p, A, B):
+    """Upper bounds of the gauges of the 2D points p from the chords between
+    the boundary points A and B, row by row; inf where a chord gives none.
+
+    Where the origin lies strictly on the inner side of the chord, traversed
+    counterclockwise from A to B, and p lies between A and B in angle, the
+    ray through p crosses the chord at a point c of K, so the gauge of p is
+    at most |p| / |c| = <n, p> / <n, A>, n the chord's outward normal, the
+    bound of ``_gauge_bracket`` for a grid cell.
+    """
+    nx, ny = B[:, 1] - A[:, 1], A[:, 0] - B[:, 0]
+    off = nx * A[:, 0] + ny * A[:, 1]
+    between = (A[:, 0] * p[:, 1] - A[:, 1] * p[:, 0] >= 0.0) & \
+        (p[:, 0] * B[:, 1] - p[:, 1] * B[:, 0] >= 0.0) & (off > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(between, (nx * p[:, 0] + ny * p[:, 1]) / off, np.inf)
+
+
+def _ascend_2d(K, A, U, n_grid, level=None):
     """Newton steps in the angle, safeguarded by bisection (rtsafe).
 
     The coarse maximum brackets the true one within one grid cell, since
@@ -295,6 +317,13 @@ def _ascend_2d(K, A, U, n_grid):
     leaves the bracket or fails to halve the step before last is replaced by
     bisection.  That covers singular derivative data: zero curvature radius
     on Reuleaux vertex sectors, an infinite one on superellipse axes.
+
+    With a ``level`` (point rows only, whose maximum is the gauge) a row
+    also stops once certified bounds decide gauge <= level: from below the
+    support ratio <p, u> / H_K(u) = 1 / ray at the iterate, from above the
+    chord between the boundary points at the bracket's two ends
+    (``_chord_gauge``).  Returns the directions and each row's deciding
+    bound, NaN where the row converged undecided.
     """
     th = np.arctan2(U[:, 1], U[:, 0])
     lo = th - _grid_spacing(2, n_grid)
@@ -302,14 +331,29 @@ def _ascend_2d(K, A, U, n_grid):
     dx = hi - lo
     dx_old = dx.copy()
     live = np.arange(len(th))
+    bound = np.full(len(th), np.nan)
+    if level is not None:
+        # the boundary points at the bracket's ends, moved with them
+        ends = K.gradient_hom(_unit_circle(np.concatenate([lo, hi])))
+        X_lo, X_hi = ends[:len(th)], ends[len(th):]
     for _ in range(SEARCH_MAX_STEPS):
         t = th[live]
         u = _unit_circle(t)
-        r, J = _optimality_residual(K, A.rows(live), u,
-                                    [np.column_stack([-u[:, 1], u[:, 0]])])
+        r, J, x, ray = _optimality_residual(
+            K, A.rows(live), u, [np.column_stack([-u[:, 1], u[:, 0]])])
         r, J = r[:, 0], J[:, 0, 0]
         a = lo[live] = np.where(r > 0, t, lo[live])
         b = hi[live] = np.where(r < 0, t, hi[live])
+        undecided = True
+        if level is not None:
+            X_lo[live] = np.where((r > 0)[:, None], x, X_lo[live])
+            X_hi[live] = np.where((r < 0)[:, None], x, X_hi[live])
+            up = _chord_gauge(A.pts[live], X_lo[live], X_hi[live])
+            with np.errstate(divide="ignore"):
+                down = 1.0 / ray
+            bound[live] = np.where(up <= level, up,
+                                   np.where(down > level, down, np.nan))
+            undecided = np.isnan(bound[live])
         with np.errstate(divide="ignore", invalid="ignore"):
             new = np.where(r == 0, t, t + r / J)
         bisect = ~((new >= a) & (new <= b)) | \
@@ -319,10 +363,10 @@ def _ascend_2d(K, A, U, n_grid):
         step = np.abs(new - t)
         dx[live] = step
         th[live] = new
-        live = live[step > SEARCH_TOL]
+        live = live[(step > SEARCH_TOL) & undecided]
         if not live.size:
             break
-    return _unit_circle(th)
+    return _unit_circle(th), bound
 
 
 def _ascend_3d(K, A, U, n_grid):
@@ -340,7 +384,7 @@ def _ascend_3d(K, A, U, n_grid):
     for _ in range(SEARCH_MAX_STEPS):
         a, u = A.rows(live), U[live]
         e1, e2 = _frames_many(u)
-        r, J = _optimality_residual(K, a, u, [e1, e2])
+        r, J, _, _ = _optimality_residual(K, a, u, [e1, e2])
         det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
             d = np.column_stack([J[:, 1, 1] * r[:, 0] - J[:, 0, 1] * r[:, 1],
@@ -368,12 +412,24 @@ def support_ratio_max(K, A, U, f0, n_grid):
     """Converged max of H_A(u) / H_K(u) per row and its direction, from the
     argmax U and max f0 of a scan over ``n_grid`` sphere directions.  Rows
     with f0 <= 0 (a gauge's zero vector) have no maximizing direction."""
+    return _support_ratio_search(K, A, U, f0, n_grid, None)
+
+
+def _support_ratio_search(K, A, U, f0, n_grid, level):
+    """``support_ratio_max``; with a ``level`` (2D point rows) each row stops
+    once certified bounds decide whether its max exceeds the level, and its
+    value is then the deciding bound (``_ascend_2d``)."""
     u = U.copy()
+    decided = np.full(len(u), np.nan)
     live = f0 > 0.0
     if live.any():
-        search = _ascend_2d if K.dim == 2 else _ascend_3d
-        u[live] = search(K, A.rows(live), u[live], n_grid)
-    return np.maximum(f0, A.support_hom(u) / K.support_hom(u)), u
+        if K.dim == 2:
+            u[live], decided[live] = _ascend_2d(K, A.rows(live), u[live],
+                                                n_grid, level)
+        else:
+            u[live] = _ascend_3d(K, A.rows(live), u[live], n_grid)
+    g = np.maximum(f0, A.support_hom(u) / K.support_hom(u))
+    return np.where(np.isnan(decided), g, decided), u
 
 
 def _point_rows(pts):
@@ -460,6 +516,15 @@ def _ellipse_sandwich(U, H, X, D):
     if not (s_in2 > 0.0 and np.isfinite(s_out2)):
         return None
     return Minv, s_in2, s_out2
+
+
+def _sandwich_levels(sandwich):
+    """M^-1 and the levels of Q at and below which a point is inside,
+    and above which it is outside: s_in^2 (1 - SANDWICH_MARGIN) and
+    s_out^2 (1 + MEMBERSHIP_TOL)^2 (1 + SANDWICH_MARGIN)."""
+    Minv, s_in2, s_out2 = sandwich
+    return (Minv, s_in2 * (1.0 - SANDWICH_MARGIN),
+            s_out2 * (1.0 + MEMBERSHIP_TOL) ** 2 * (1.0 + SANDWICH_MARGIN))
 
 
 def _sqrt(x):
@@ -695,14 +760,23 @@ class ConvexBody:
         return g, idx
 
     def _gauge_refine(self, pts, idx, g0):
-        """Refined gauges and their maximizing unit directions."""
+        """Gauges of the rows of pts, refined from their grid bounds g0 at
+        the grid normals idx until they decide membership, and their
+        directions: ``contains_many`` refines the rows its bounds leave
+        open.  3D converges each row.  In 2D a row stops once certified
+        bounds decide gauge <= 1 + MEMBERSHIP_TOL, and its value is the
+        deciding bound, so ``_inside`` reads the converged verdict."""
         U, _, _ = self._gauge_grid()
-        return support_ratio_max(self, SupportRows(pts), U[idx], g0, len(U))
+        level = 1.0 + MEMBERSHIP_TOL if self.dim == 2 else None
+        return _support_ratio_search(self, SupportRows(pts), U[idx], g0,
+                                     len(U), level)
 
     def _gauge_exact(self, pts):
-        """Exact gauges of the rows of pts and their maximizing directions."""
+        """Exact gauges of the rows of pts and their maximizing directions:
+        each row is converged from its grid bound."""
         g0, idx, _ = self._gauge_bounds(pts)
-        return self._gauge_refine(pts, idx, g0)
+        U, _, _ = self._gauge_grid()
+        return support_ratio_max(self, SupportRows(pts), U[idx], g0, len(U))
 
     def gauge_argmax(self, v):
         """Gauge of a single vector together with the maximizing direction."""
@@ -712,6 +786,19 @@ class ConvexBody:
     def contains(self, pts):
         """Membership test; points within the gauge tolerance count inside."""
         return self.contains_many([pts])[0]
+
+    def _sweep_sandwich(self):
+        """The ellipse sandwich (M^-1, s_in^2, s_out^2) of ``_gauge_cells``
+        when certified bounds decide this body's membership, else None.
+        They do for a 2D body without a closed gauge: its bracket holds to
+        rounding and its search converges, or stops on certified bounds, so
+        every point whose gauge is 1e-7 or more from 1 + MEMBERSHIP_TOL gets
+        its true verdict.  A copy sweep may then decide such points by the
+        sandwich alone (``measure._CopySweep``)."""
+        if self.dim != 2:
+            return None
+        self._gauge_cells()  # builds the sandwich with the cells
+        return self._sandwich
 
     def _membership_bounds(self, p):
         """Verdicts of the rows of p by bounds alone, the rows they leave
@@ -728,9 +815,7 @@ class ConvexBody:
             g, idx, m = self._gauge_bounds(p)
             m = np.flatnonzero(m)
             return _inside(g), m, idx[m], g[m]
-        Minv, s_in2, s_out2 = sandwich
-        q_in = s_in2 * (1.0 - SANDWICH_MARGIN)
-        q_out = s_out2 * (1.0 + MEMBERSHIP_TOL) ** 2 * (1.0 + SANDWICH_MARGIN)
+        Minv, q_in, q_out = _sandwich_levels(sandwich)
         with np.errstate(invalid="ignore"):  # inf - inf in a row's Q
             Q = _quadratic_form(p, Minv)
         inside = Q <= q_in
@@ -746,8 +831,10 @@ class ConvexBody:
         per set, equal to it bit for bit: bounds set by set (in 2D the
         ellipse sandwich, then the chord bracket on the rows between), then
         one sphere search for the open rows of all sets, each row on its
-        own.  Only a set's verdicts and open rows outlive its bounds, so
-        sets made on demand are never all held."""
+        own.  In 2D the search drops a row once certified bounds decide it
+        (``_gauge_refine``), so each verdict is the converged gauge's, to
+        rounding.  Only a set's verdicts and open rows outlive its bounds,
+        so sets made on demand are never all held."""
         out, todo = [], []
         for p in point_sets:
             p = _point_rows(p)
@@ -780,6 +867,11 @@ class _ClosedGauge(ConvexBody):
 
     def contains_many(self, point_sets):
         return [_inside(self.gauge_many(p)) for p in point_sets]
+
+    def _sweep_sandwich(self):
+        # a closed gauge carries no bound of its rounding: an offset
+        # quadric's can cancel where the origin is near its boundary
+        return None
 
 
 class Ball(_ClosedGauge):
@@ -876,7 +968,9 @@ class Ellipsoid(_ClosedGauge):
         dim = Q.shape[0]
         if Q.shape != (dim, dim) or not np.isfinite(Q).all():
             raise ValueError("Q must be a finite square matrix")
-        if not np.allclose(Q, Q.T, atol=1e-12):
+        # np.allclose(Q, Q.T, atol=1e-12) on finite entries, in one
+        # expression: |Q - Q'| <= 1e-12 + 1e-5 |Q'| entry by entry
+        if not (np.abs(Q - Q.T) <= 1e-12 + 1e-5 * np.abs(Q.T)).all():
             raise ValueError("Q must be a symmetric matrix")
         # the tangent block reads only the upper triangle, the support
         # function all of Q: both see its symmetric part
@@ -887,7 +981,9 @@ class Ellipsoid(_ClosedGauge):
         super().__init__(dim)
         self.Q = Q
         self.Qinv = np.linalg.inv(Q)
-        self._Q_upper = tuple(Q[np.triu_indices(dim)].tolist())
+        rows = Q.tolist()
+        self._Q_upper = tuple(rows[i][j] for i in range(dim)
+                              for j in range(i, dim))
         self.center = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
         _check_origin_interior(self.kind, self.Qinv, self.center)
 
@@ -954,13 +1050,17 @@ class _Theta2DBody(ConvexBody):
         t = np.arctan2(V[:, 1], V[:, 0])
         return np.linalg.norm(V, axis=1) * self.h_theta(t)
 
+    def _profile(self, t):
+        """h(t) and h'(t), the gradient's two terms."""
+        return self.h_theta(t), self.dh_theta(t)
+
     def _gradient_impl(self, V):
         t = np.arctan2(V[:, 1], V[:, 0])
-        dh = self.dh_theta(t)
+        h, dh = self._profile(t)
         r = np.linalg.norm(V, axis=1, keepdims=True)
         u = V / r
         uperp = np.column_stack([-u[:, 1], u[:, 0]])
-        return self.h_theta(t)[:, None] * u + dh[:, None] * uperp
+        return h[:, None] * u + dh[:, None] * uperp
 
     def _tangent_block(self, u, E):
         # the radius of curvature h + h''
@@ -1010,19 +1110,21 @@ class FourierBody2D(_Theta2DBody):
         if not _trig_lower_bound(c * self.a, c * self.b) > 0.0:
             raise ValueError("fourier coefficients produce a non-convex profile "
                              "(h + h'' <= 0 somewhere)")
+        # the coefficients of h, h' and h'', built once
+        self._k = k = np.arange(len(self.a))
+        self._weights = ((self.a, self.b), (k * self.b, -k * self.a),
+                         (-k * k * self.a, -k * k * self.b))
 
-    def _series(self, t, deriv):
-        k = np.arange(len(self.a))
-        if deriv == 0:
-            wc, ws = self.a, self.b
-        elif deriv == 1:
-            wc, ws = k * self.b, -k * self.a
-        else:
-            wc, ws = -k * k * self.a, -k * k * self.b
-        t = np.asarray(t, dtype=float)
-        w = (-1,) + (1,) * t.ndim
-        kt = np.multiply.outer(k, t)
-        terms = np.cos(kt) * wc.reshape(w) + np.sin(kt) * ws.reshape(w)
+    def _trig(self, t):
+        """cos(k t) and sin(k t) for every k, stacked along a first axis."""
+        kt = np.multiply.outer(self._k, np.asarray(t, dtype=float))
+        return np.cos(kt), np.sin(kt)
+
+    def _series(self, trig, deriv):
+        cos, sin = trig
+        wc, ws = self._weights[deriv]
+        w = (-1,) + (1,) * (cos.ndim - 1)
+        terms = cos * wc.reshape(w) + sin * ws.reshape(w)
         # added term by term: each angle's value is then the same however
         # many angles are evaluated with it, which a matrix product's
         # blocking does not guarantee
@@ -1031,14 +1133,19 @@ class FourierBody2D(_Theta2DBody):
             total += term
         return total
 
+    def _profile(self, t):
+        # one cos(k t) and sin(k t) for both terms
+        trig = self._trig(t)
+        return self._series(trig, 0), self._series(trig, 1)
+
     def h_theta(self, t):
-        return self._series(t, 0)
+        return self._series(self._trig(t), 0)
 
     def dh_theta(self, t):
-        return self._series(t, 1)
+        return self._series(self._trig(t), 1)
 
     def d2h_theta(self, t):
-        return self._series(t, 2)
+        return self._series(self._trig(t), 2)
 
 
 class Superellipse2D(_ClosedGauge):
@@ -1240,6 +1347,13 @@ class Dilate(ConvexBody):
     def contains_many(self, point_sets):
         return self.body.contains_many(_point_rows(p) / self.factor
                                        for p in point_sets)
+
+    def _sweep_sandwich(self):
+        # membership is the body's, so it is certified when the body's is;
+        # this body's own sandwich then bounds its shape
+        if self.body._sweep_sandwich() is None:
+            return None
+        return super()._sweep_sandwich()
 
     def gauge_argmax(self, v):
         g, u = self.body.gauge_argmax(np.asarray(v, dtype=float) / self.factor)

@@ -8,8 +8,10 @@ scrambled Sobol' points (LMS + digital shift, d <= 3) from ``kdense.qmc``,
 equal bit for bit to scipy's ``qmc.Sobol(d, scramble=True)``.  Each QMC
 route is one pass, ``_qmc_pass``, that tests a body's membership once per
 replicate and counts columns on the points inside; a sweep over copies
-x + rK sharing one G counts each copy on the points inside G, and the
-points K's bounds leave open in every copy share one sphere search.
+x + rK sharing one G counts each copy on the points inside G.  In 2D K's
+ellipse sandwich decides most of a copy's points in G's frame, the rest of
+every copy go to one membership test of K, and the points K's bounds leave
+open share one sphere search.
 """
 
 import math
@@ -232,22 +234,183 @@ def volume(body, method="auto", n=None, qmc_points=DEFAULT_QMC_POINTS,
     return volume_qmc(body, qmc_points, replicates, seed)
 
 
+# A copy of a sweep decides its rows in G's frame (``_CopySweep``) only when
+# the rounding bound of the expanded quadratic form is at most this share of
+# SANDWICH_MARGIN r^2 q_in.
+SWEEP_ROUNDING_SHARE = 0.25
+
+
+def _in_box(cols, a, b):
+    """Rows whose coordinates, given as columns, lie in the box [a, b]."""
+    keep = (cols[0] >= a[0]) & (cols[0] <= b[0])
+    for i in range(1, len(cols)):
+        keep &= (cols[i] >= a[i]) & (cols[i] <= b[i])
+    return keep
+
+
+class _CopySweep:
+    """The columns of ``_copy_counts``: called on the points inside G, it
+    returns the number of them inside each copy x + rK.
+
+    A copy keeps the points whose (p - x) / r lie in K's ``bounding_box``:
+    ``K.contains`` decides them, and every other point is outside.  Without
+    a sandwich (3D, closed gauges, a rejected fit) each copy first keeps
+    the rows inside x + r [lo, hi] in G's frame, widened by a rounding pad,
+    computes (p - x) / r and K's box test on those rows only, and one
+    ``K.contains_many`` call per replicate streams the copies' sets.
+
+    With K's ellipse sandwich (``ConvexBody._sweep_sandwich``) a copy
+    decides its rows in G's frame first.  Per replicate the rows p give
+    Q(p) = p' M^-1 p and p' M^-1 once; per copy
+    Q(p - x) = Q(p) - 2 p' M^-1 x + Q(x) is one dot product per row, and a
+    row is inside when Q(p - x) <= r^2 q_in and outside when it exceeds
+    r^2 q_out (``bodies._sandwich_levels``).  Only the rows between, the
+    copy's shell, get (p - x) / r and K's box test, and the shells of all
+    copies go to one ``K.contains`` call per replicate.  A copy whose
+    rounding bound fails the check below, such as one with a tiny r or far
+    from the origin, keeps the box in G's frame instead, and its rows join
+    that call.  Either way the count is that of the plain indicator
+    K((p - x) / r).
+    """
+
+    def __init__(self, K, copies):
+        self.K = K
+        lo, hi = self.box = bounding_box(K)
+        self.copies = []
+        for x, r in copies:
+            x, r = np.asarray(x, dtype=float), float(r)
+            if not (math.isfinite(r) and r > 0.0):
+                raise ValueError(f"dilation parameter r must be finite and "
+                                 f"positive, not {r}")
+            if x.shape != (K.dim,) or not np.isfinite(x).all():
+                raise ValueError(f"copy point x must be a finite "
+                                 f"{K.dim}-vector")
+            # p - x and the division by r round by under an ulp of |x| and
+            # of r |lo|, r |hi|: the pad covers that many times over, so the
+            # box in G's frame keeps every row the box in K's frame keeps
+            pad = 1e-9 * (np.abs(x) + r * (hi - lo))
+            self.copies.append((x, r, x + r * lo - pad, x + r * hi + pad))
+        self.sandwich = K._sweep_sandwich()
+        if self.sandwich is None:
+            return
+        Minv, q_in, q_out = bodies._sandwich_levels(self.sandwich)
+        X = self.points = np.array([c[0] for c in self.copies]).reshape(-1, 2)
+        self.radii = np.array([c[1] for c in self.copies])
+        r2 = self.radii * self.radii
+        k = bodies._quadratic_form(X, Minv)
+        self.form = Minv.tolist()
+        self.weights = (-2.0 * X).tolist()
+        self.levels = list(zip((r2 * q_in - k).tolist(),
+                               (r2 * q_out - k).tolist()))
+        # The rounding bound, with N(z) = |z|' |M^-1| |z|.  |M^-1| is
+        # positive definite as M^-1 is (ac > b^2), so by Cauchy-Schwarz
+        # |p|' |M^-1| |x| <= sqrt(N(p) N(x)).  Row by row, p' M^-1 rounds by
+        # under eps |p|' |M^-1|, which moves its product with -2x by
+        # 2 eps sqrt(N(p) N(x)); Q(p) rounds by 2 eps N(p), and the sum
+        # Q(p) - 2 p' M^-1 x by 2 eps (N(p) + 2 sqrt(N(p) N(x))) more.  Per
+        # copy, Q(x) rounds by 2 eps N(x), and r^2 q - Q(x) by
+        # 2 eps (r^2 q + N(x)).  So each comparison's two sides differ by
+        # under half of E = 8 eps ((sqrt N(p) + sqrt N(x))^2 + r^2 q_out)
+        # from their exact difference, with N(p) at most rho' |M^-1| rho
+        # for rho the largest |p_i| of the replicate (``decided``).
+        # A copy is decided in G's frame only when E <= margin r^2 q_in / 4,
+        # margin = SANDWICH_MARGIN.  A row it decides inside then has
+        # Q(p - x) <= r^2 s_in^2 (1 - 3 margin / 4).  K receives
+        # y = fl(fl(p - x) / r), whose coordinates carry two roundings;
+        # they move sqrt Q by at most 2.0001 (eps / 2) sqrt(cond M), under
+        # 2.3e-12 for cond M <= SANDWICH_MAX_COND, so
+        # Q(y) < s_in^2 (1 - margin / 2).  So y lies in the inner ellipse of
+        # K scaled by 1 - margin / 4: its gauge is below 1 - 2.5e-7, and
+        # K's membership test counts it inside (``_sweep_sandwich``).
+        # Likewise a row decided outside has Q(y) > s_out^2
+        # (1 + MEMBERSHIP_TOL)^2 (1 + margin / 2), as s_in^2 <= s_out^2, so
+        # its gauge exceeds (1 + MEMBERSHIP_TOL)(1 + 2.4e-7) and K counts it
+        # outside.  A row inside K lies in K's box, so the count is the box
+        # route's.
+        self.abs_form = np.abs(Minv)
+        eps = np.finfo(float).eps
+        self.root_nx = np.sqrt(bodies._quadratic_form(np.abs(X),
+                                                      self.abs_form))
+        self.budget = SWEEP_ROUNDING_SHARE * bodies.SANDWICH_MARGIN * \
+            r2 * q_in - 8.0 * eps * r2 * q_out
+
+    def decided(self, cols):
+        """Which copies decide their rows in G's frame, for rows given by
+        their coordinate columns: those whose rounding bound E meets the
+        budget (see ``__init__``)."""
+        if self.sandwich is None or not len(cols[0]):
+            return np.zeros(len(self.copies), dtype=bool)
+        rho = np.array([np.abs(c).max() for c in cols])
+        e = (math.sqrt(rho @ self.abs_form @ rho) + self.root_nx) ** 2
+        return 8.0 * np.finfo(float).eps * e <= self.budget
+
+    def __call__(self, inner):
+        if self.sandwich is None or not self.copies:
+            return self._streamed(inner)
+        lo, hi = self.box
+        cols = [np.ascontiguousarray(c) for c in inner.T]
+        decided = self.decided(cols)
+        if decided.any():
+            # p' M^-1 and Q(p) on contiguous columns: numpy loops over
+            # these several times faster than over rows of two
+            (a, b), (_, c) = self.form
+            px, py = cols
+            ax = px * a
+            ax += py * b
+            ay = px * b
+            ay += py * c
+            qp = ax * px
+            qp += ay * py
+        counts, rows = [], []
+        for j, (x, r, a, b) in enumerate(self.copies):
+            if decided[j]:
+                (wx, wy), (t_in, t_out) = self.weights[j], self.levels[j]
+                d = ax * wx
+                d += qp
+                d += ay * wy
+                counts.append(np.count_nonzero(d <= t_in))
+                rows.append(np.flatnonzero((d > t_in) & (d <= t_out)))
+            else:
+                counts.append(0)
+                rows.append(np.flatnonzero(_in_box(cols, a, b)))
+        # (p - x) / r of every copy's rows at once, then K's box; the same
+        # two roundings per coordinate as for one copy at a time
+        copy = np.repeat(np.arange(len(rows)), [len(i) for i in rows])
+        q = inner.take(np.concatenate(rows), axis=0)
+        q -= self.points[copy]
+        q /= self.radii[copy, None]
+        keep = _in_box(q.T, lo, hi)
+        inside = self.K.contains(q.compress(keep, axis=0))
+        hits = np.bincount(copy[keep][inside], minlength=len(rows))
+        return (np.array(counts) + hits).tolist()
+
+    def _streamed(self, inner):
+        lo, hi = self.box
+        cols = [np.ascontiguousarray(c) for c in inner.T]
+
+        def near(x, r, a, b):
+            # the rows in G's frame, then (p - x) / r and K's box on them;
+            # x is subtracted column by column, which numpy loops over
+            # faster than a broadcast along rows of two or three
+            q = inner.compress(_in_box(cols, a, b), axis=0)
+            for i in range(len(cols)):
+                np.subtract(q[:, i], x[i], out=q[:, i])
+            np.divide(q, r, out=q)
+            return q.compress(_in_box(q.T, lo, hi), axis=0)
+
+        sets = self.K.contains_many(near(*c) for c in self.copies)
+        return [int(np.count_nonzero(h)) for h in sets]
+
+
 def _copy_counts(G, K, copies, n, replicates, seed):
     """QMC counts of G and of G intersected with each copy x + rK.
 
     ``copies`` is a sequence of pairs (x, r), each x a finite point and
     each r finite and positive; ``_qmc_pass`` tests G's membership once per
-    replicate, and its columns are the copies.  Each copy keeps the points
-    inside G whose (p - x) / r lie in K's ``bounding_box``, and one
-    ``K.contains_many`` call tests the kept points of every copy: the
-    bounds of K's gauge (in 2D the ellipse sandwich, then the chord
-    bracket) decide each copy's points, and the points they leave open in
-    all copies share one sphere search.  The box is first taken in G's
-    frame: per replicate the coordinates of the points inside G are stored
-    as contiguous columns, a copy keeps the rows inside x + r [lo, hi]
-    widened by a rounding pad, and (p - x) / r and the box test in K's frame
-    run on those rows only, so K receives the rows it would from the box
-    test on all of them.
+    replicate, and its columns, a ``_CopySweep``, count each copy on the
+    points inside G with one K membership call per replicate: in 2D K's
+    ellipse sandwich decides most rows in G's frame, and the points K's
+    bounds leave open in all copies share one sphere search.
     Returns (inside, hits, box): inside[i] is the number of the n points of
     replicate i inside G, hits[i, j] the number of those inside copy j as
     well, and box is G's box.  The deficit count of copy j is
@@ -258,51 +421,14 @@ def _copy_counts(G, K, copies, n, replicates, seed):
     has a coordinate beyond h_K(+-e_i) + 0.005 * width_i, and
     width_i > h_K(+-e_i), so its gauge is at least 1.005, far above
     1 + MEMBERSHIP_TOL: it is outside.  In 2D skipping it changes no count:
-    ``K.contains`` counts a point inside only when its chord bound, which
-    is at least its gauge, or its converged gauge is at most
+    ``K.contains`` counts a point inside only when a chord bound, which is
+    at least its gauge, or its converged gauge is at most
     1 + MEMBERSHIP_TOL, never for a gauge of 1.005 or more.  In 3D that
     holds wherever the coarse gauge is right to 0.5%; where the coarse scan
     of a very eccentric K is worse, a skipped point that ``K.contains``
     would wrongly count inside is counted outside.
     """
-    lo, hi = bounding_box(K)
-    checked = []
-    for x, r in copies:
-        x, r = np.asarray(x, dtype=float), float(r)
-        if not (math.isfinite(r) and r > 0.0):
-            raise ValueError(f"dilation parameter r must be finite and "
-                             f"positive, not {r}")
-        if x.shape != (G.dim,) or not np.isfinite(x).all():
-            raise ValueError(f"copy point x must be a finite {G.dim}-vector")
-        # p - x and the division by r round by under an ulp of |x| and of
-        # r |lo|, r |hi|: the pad covers that many times over, so the box in
-        # G's frame keeps every row the box in K's frame keeps
-        pad = 1e-9 * (np.abs(x) + r * (hi - lo))
-        checked.append((x, r, x + r * lo - pad, x + r * hi + pad))
-
-    def in_box(cols, a, b):
-        keep = (cols[0] >= a[0]) & (cols[0] <= b[0])
-        for i in range(1, len(cols)):
-            keep &= (cols[i] >= a[i]) & (cols[i] <= b[i])
-        return keep
-
-    def hits(inner):
-        cols = [np.ascontiguousarray(c) for c in inner.T]
-
-        def near(x, r, a, b):
-            # the rows in G's frame, then (p - x) / r and K's box on them;
-            # x is subtracted column by column, which numpy loops over
-            # faster than a broadcast along rows of two or three
-            q = inner.compress(in_box(cols, a, b), axis=0)
-            for i in range(len(cols)):
-                np.subtract(q[:, i], x[i], out=q[:, i])
-            np.divide(q, r, out=q)
-            return q.compress(in_box(q.T, lo, hi), axis=0)
-
-        sets = K.contains_many(near(*c) for c in checked)
-        return [int(np.count_nonzero(h)) for h in sets]
-
-    return _qmc_pass(G, n, replicates, seed, columns=hits)
+    return _qmc_pass(G, n, replicates, seed, columns=_CopySweep(K, copies))
 
 
 def intersection_volume(G, K, x, r, n=DEFAULT_QMC_POINTS,

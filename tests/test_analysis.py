@@ -99,11 +99,11 @@ class TestTouchPoint:
         K = difference_body(G)
         rows = []
 
-        def counting(pts, idx, g0, _orig=K._gauge_refine):
+        def counting(pts, _orig=K._gauge_exact):
             rows.append(len(pts))
-            return _orig(pts, idx, g0)
+            return _orig(pts)
 
-        monkeypatch.setattr(K, "_gauge_refine", counting)
+        monkeypatch.setattr(K, "_gauge_exact", counting)
         x = boundary_points(G, sphere_directions(2, 3))[0]
         touch_point(G, K, x)
         assert rows == [1]

@@ -1061,7 +1061,7 @@ class TestGauge:
                          [np.inf, 0.0], [np.nan, 1.0]])
         T = np.column_stack([-U[:, 1], U[:, 0]])
         with np.errstate(divide="ignore", invalid="ignore"):
-            r, J = _optimality_residual(K, SupportRows(pts), U, [T])
+            r, J, _, _ = _optimality_residual(K, SupportRows(pts), U, [T])
         assert np.all(np.isfinite(J[0])) and np.all(np.isfinite(r[0]))
         assert np.all(np.isnan(J[1:]))
 
@@ -1422,3 +1422,84 @@ class TestEllipseSandwich:
         assert K._sandwich is None
         P = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0], [0.0, 1e-3]])
         assert K.contains(P).tolist() == [True, True, False, False]
+
+
+class TestSearchStopsOnBounds:
+    """2D membership stops a point's sphere search once certified bounds
+    decide gauge <= 1 + MEMBERSHIP_TOL: the support ratio at the iterate
+    from below, the chord between the boundary points at the bracket's
+    ends from above.  Verdicts stay those of the converged gauge."""
+
+    TOL = bodies.MEMBERSHIP_TOL
+
+    @staticmethod
+    def _bodies():
+        E = Ellipsoid.from_semiaxes
+        return [difference_body(E(2.0, 1.0)), difference_body(E(200.0, 1.0)),
+                Superellipse2D(4.0), ReuleauxTriangle2D(1.0),
+                FourierBody2D([1.0, 0.0, 0.0, 0.1]),
+                Translate(ReuleauxTriangle2D(1.0), [0.05, -0.03])]
+
+    def _rows(self, K, rel):
+        """Points at gauge (1 + TOL)(1 - rel) and (1 + TOL)(1 + rel), on
+        rays at random angles; the base method gives the converged gauge
+        of every kind."""
+        t = np.random.default_rng(51).uniform(-np.pi, np.pi, 400)
+        V = np.column_stack([np.cos(t), np.sin(t)])
+        V /= ConvexBody.gauge_many(K, V)[:, None]
+        return np.vstack([V * ((1.0 + self.TOL) * (1.0 - rel)),
+                          V * ((1.0 + self.TOL) * (1.0 + rel))])
+
+    def test_verdicts_equal_the_converged_gauge(self):
+        for K in self._bodies():
+            for rel in (1e-13, 1e-11, 1e-8):
+                P = self._rows(K, rel)
+                got = ConvexBody.contains_many(K, [P])[0]
+                g = ConvexBody.gauge_many(K, P)
+                assert np.array_equal(got, g <= 1.0 + self.TOL), (K, rel)
+                half = len(P) // 2
+                assert got[:half].all() and not got[half:].any(), (K, rel)
+
+    def test_chord_bounds_hold(self):
+        # any two boundary points bound the gauge of each point between
+        # them in angle; elsewhere the chord gives no bound
+        rng = np.random.default_rng(52)
+        for K in self._bodies():
+            t = rng.uniform(-np.pi, np.pi, 4000)
+            s = t + rng.uniform(0.0, 0.5, 4000)
+            A = K.gradient_hom(np.column_stack([np.cos(t), np.sin(t)]))
+            B = K.gradient_hom(np.column_stack([np.cos(s), np.sin(s)]))
+            P = rng.normal(size=(4000, 2))
+            up = bodies._chord_gauge(P, A, B)
+            between = (A[:, 0] * P[:, 1] - A[:, 1] * P[:, 0] >= 0.0) & \
+                (P[:, 0] * B[:, 1] - P[:, 1] * B[:, 0] >= 0.0)
+            assert np.isinf(up[~between]).all(), K
+            bounded = np.isfinite(up)
+            assert np.count_nonzero(bounded) > 100, K
+            g = ConvexBody.gauge_many(K, P[bounded])
+            assert np.all(g <= up[bounded] * (1.0 + 1e-14)), K
+
+    def test_fewer_search_steps(self, monkeypatch):
+        # the open rows of points near gauge 1 + TOL: membership's search
+        # stops each row where the bounds decide it, the converged search
+        # runs every row to the end.  A step is one row in one evaluation
+        # of the residual.
+        steps = []
+
+        def counting(K, A, U, tangents, _orig=bodies._optimality_residual):
+            steps.append(len(U))
+            return _orig(K, A, U, tangents)
+
+        monkeypatch.setattr(bodies, "_optimality_residual", counting)
+        for K in self._bodies():
+            P = self._rows(K, 1e-8)
+            g, idx, m = ConvexBody._gauge_bounds(K, P)
+            P, idx, g = P[m], idx[m], g[m]
+            U = K._gauge_grid()[0]
+            del steps[:]
+            K._gauge_refine(P, idx, g)
+            member = list(steps)
+            del steps[:]
+            support_ratio_max(K, SupportRows(P), U[idx], g, len(U))
+            assert len(member) <= len(steps), K
+            assert sum(member) < sum(steps), K

@@ -15,8 +15,9 @@ import kdense
 from kdense import bodies, measure, qmc
 from kdense.analysis import halfvolume_condition_check, kdense_spread
 
-from kdense.bodies import (Ball, ConvexBody, Dilate, Ellipsoid, MinkowskiSum,
-                           Superellipse2D, Translate, as_direction,
+from kdense.bodies import (Ball, ConvexBody, Dilate, Ellipsoid, FourierBody2D,
+                           MinkowskiSum, ReuleauxTriangle2D, Superellipse2D,
+                           Translate, as_direction,
                            boundary_points, difference_body, sphere_directions)
 from kdense.errors import SingularCurvature
 from kdense.measure import (QuadratureGrid, bounding_box, circumscribed_ratio,
@@ -343,9 +344,18 @@ class TestPrunedPredicates:
         kdense_spread(G, K, 0.5, m=16, n=self.N, replicates=4, seed=0)
         assert len(rows) == 4 and sum(rows) == 28
 
+    @staticmethod
+    def _box_rows(P, x, r, box):
+        """The rows (p - x) / r of P inside K's box, and which they are."""
+        lo, hi = box
+        Y = (P - x) / r
+        keep = ((Y >= lo) & (Y <= hi)).all(axis=1)
+        return Y, keep
+
     def test_sandwich_leaves_few_rows_to_the_bracket(self, monkeypatch):
-        # the ellipse sandwich decides the points far from K's boundary:
-        # of the rows the sweep gives K, few reach the chord bracket
+        # K's ellipse sandwich decides most rows in G's frame: K receives
+        # one set per replicate, under a tenth of the rows of the copies'
+        # boxes, and only those reach its own bounds
         G = Ellipsoid.from_semiaxes(2.0, 1.0)
         K = difference_body(G)
         given, bracketed = [], []
@@ -362,17 +372,38 @@ class TestPrunedPredicates:
         monkeypatch.setattr(K, "contains_many", contains_many)
         monkeypatch.setattr(K, "_gauge_bracket", bracket)
         kdense_spread(G, K, 0.5, m=16, n=self.N, replicates=4, seed=0)
-        assert len(given) == 64 and sum(given) > 64 * self.N // 10
-        assert sum(bracketed) <= 0.05 * sum(given)
+        monkeypatch.undo()
+        glo, ghi = bounding_box(G)
+        box = bounding_box(K)
+        X = boundary_points(G, sphere_directions(2, 16))
+        boxed = 0
+        for rep in range(4):
+            P = glo + _sobol(2, self.N, 0, rep) * (ghi - glo)
+            P = P[G.contains(P)]
+            boxed += sum(int(np.count_nonzero(self._box_rows(P, x, 0.5,
+                                                              box)[1]))
+                         for x in X)
+        assert len(given) == 4 and boxed > 64 * self.N // 10
+        assert 0 < sum(given) <= 0.1 * boxed
+        assert sum(bracketed) <= sum(given)
+
+    def _copies(self, G):
+        """Copies at G's boundary points and far from the origin; r = 1e-6
+        leaves its rounding bound above the budget, so those copies keep
+        the box in G's frame."""
+        X = boundary_points(G, sphere_directions(G.dim, 3))
+        far = np.full(G.dim, 30.0)
+        return [(x, r) for x in X for r in (1e-6, 1e-3, 0.1, 0.5, 0.99)] + \
+            [(far, 1e-3), (far, 9.0), (-far, 12.0)]
 
     def test_box_in_g_frame_keeps_k_rows(self, monkeypatch):
-        # each copy's box is taken in G's frame first; K still receives
-        # exactly the rows (p - x) / r of the points in G inside its box
+        # without a sandwich each copy hands K the rows (p - x) / r of the
+        # points in G inside K's box; with one, K receives one set per
+        # replicate: per copy in turn, the box rows of the copy's shell, or
+        # all of its box rows for a copy that skips the G-frame decision
         for G, K in self._pairs():
-            lo, hi = bounding_box(K)
-            copies = [(x, r)
-                      for x in boundary_points(G, sphere_directions(G.dim, 3))
-                      for r in (0.1, 0.5, 0.99)]
+            box = bounding_box(K)
+            copies = self._copies(G)
             got = []
 
             def contains_many(sets, _orig=K.contains_many):
@@ -383,14 +414,73 @@ class TestPrunedPredicates:
             monkeypatch.setattr(K, "contains_many", contains_many)
             _copy_counts(G, K, copies, self.N, 2, 0)
             monkeypatch.undo()
+            sweep = measure._CopySweep(K, copies)
             glo, ghi = bounding_box(G)
+            assert len(got) == 2
             for rep, sets in enumerate(got):
                 P = glo + _sobol(G.dim, self.N, 0, rep) * (ghi - glo)
                 P = P[G.contains(P)]
-                for (x, r), Q in zip(copies, sets):
-                    want = (P - x) / r
-                    want = want[((want >= lo) & (want <= hi)).all(axis=1)]
-                    assert np.array_equal(Q, want)
+                boxed = [self._box_rows(P, x, r, box) for x, r in copies]
+                if sweep.sandwich is None:
+                    assert len(sets) == len(copies)
+                    for (Y, keep), Q in zip(boxed, sets):
+                        assert np.array_equal(Q, Y[keep])
+                    continue
+                decided = sweep.decided(list(P.T))
+                assert decided.any() and not decided.all()
+                _, q_in, q_out = bodies._sandwich_levels(sweep.sandwich)
+                want = []
+                for (x, r), (Y, keep), dec in zip(copies, boxed, decided):
+                    if dec:
+                        Q = np.einsum("ij,jk,ik->i", P - x, sweep.sandwich[0],
+                                      P - x)
+                        t_in, t_out = r * r * q_in, r * r * q_out
+                        # no row lies where rounding could route it
+                        # either way
+                        assert not np.any(np.isclose(Q, t_in, rtol=1e-9,
+                                                     atol=0.0) |
+                                          np.isclose(Q, t_out, rtol=1e-9,
+                                                     atol=0.0))
+                        keep = keep & (Q > t_in) & (Q <= t_out)
+                    want.append(Y[keep])
+                assert len(sets) == 1
+                assert np.array_equal(sets[0], np.concatenate(want))
+
+    def test_rows_at_the_levels(self):
+        # rows placed just inside and outside the sandwich's radii and the
+        # sweep's thresholds around each copy, in G's frame: every copy's
+        # count is the plain indicator's, for copies decided in G's frame
+        # and for copies that skip the decision
+        E = Ellipsoid.from_semiaxes
+        R = ReuleauxTriangle2D(1.0)
+        F = FourierBody2D([1.0, 0.0, 0.0, 0.1])
+        S = Superellipse2D(4.0)
+        rng = np.random.default_rng(41)
+        tol = bodies.MEMBERSHIP_TOL
+        for G, K in [(E(2.0, 1.0), difference_body(E(2.0, 1.0))),
+                     (E(200.0, 1.0), difference_body(E(200.0, 1.0))),
+                     (S, difference_body(S)),
+                     (R, difference_body(R)), (F, difference_body(F)),
+                     (R, Translate(R, [0.05, -0.03])),
+                     (F, Dilate(difference_body(R), -1.3))]:
+            copies = self._copies(G)
+            sweep = measure._CopySweep(K, copies)
+            Minv, s_in2, s_out2 = sweep.sandwich
+            _, q_in, q_out = bodies._sandwich_levels(sweep.sandwich)
+            d = rng.normal(size=(32, 2))
+            q = np.einsum("ij,jk,ik->i", d, Minv, d)
+            rows = [rng.uniform(*bounding_box(G), size=(500, 2))]
+            for x, r in copies:
+                for level in (s_in2, s_out2 * (1.0 + tol) ** 2, q_in, q_out):
+                    for f in (1.0 - 1e-9, 1.0 + 1e-9):
+                        t = r * np.sqrt(level * f / q)
+                        rows.append(x + d * t[:, None])
+            P = np.vstack(rows)
+            decided = sweep.decided(list(P.T))
+            assert decided.any() and not decided.all(), K
+            want = [int(np.count_nonzero(K.contains((P - x) / r)))
+                    for x, r in copies]
+            assert sweep(P) == want, K
 
     def test_halfspace_cut(self):
         # alone, and as the columns of the half-volume battery's one pass:

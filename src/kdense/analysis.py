@@ -105,6 +105,8 @@ def kdense_spread(G, K, r, m=64, n=measure.DEFAULT_QMC_POINTS,
     """
     if m < 8:
         raise ValueError("need at least 8 boundary samples")
+    if replicates < 2:  # one has no standard error, so a NaN budget
+        raise ValueError("need at least 2 replicates")
     U = sphere_directions(G.dim, m)
     X = boundary_points(G, U)
     # one QMC pass over G's points serves all m copies x + rK
@@ -280,6 +282,8 @@ def halfvolume_condition_check(G, K, m=16, n=measure.DEFAULT_QMC_POINTS,
     membership test of K per replicate serves V(K) and every cut, with the
     counts of ``measure.volume_qmc`` and ``measure.halfspace_cut_volume``.
     """
+    if replicates < 2:  # one has no standard error, so a NaN budget
+        raise ValueError("need at least 2 replicates")
     U = _as_directions(sphere_directions(G.dim, m), K.dim)
 
     def cuts(P):

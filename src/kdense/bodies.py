@@ -31,10 +31,9 @@ the grid cell of its angle, from below by the outer polygon and from above
 by the chord between two boundary points; only the points those bounds
 leave undecided are searched, and the search drops a point as soon as the
 same two bounds, taken at its iterate and at its bracket's ends, decide
-it.  3D refines coarse gauges near 1.  ``contains_many`` bounds several
-point sets one by one and refines the points left open in all of them in
-one sphere search.  The sandwich also serves copy sweeps, which decide
-most points in their own frame (``_sweep_sandwich``).
+it.  3D refines coarse gauges near 1.  Each point's verdict is its own,
+so a copy sweep tests many copies' points in one call; the sandwich lets
+it decide most points in the sweep's own frame (``_sweep_sandwich``).
 """
 
 import math
@@ -651,7 +650,7 @@ class ConvexBody:
         the outward normal of the chord X_i X_{i+1} over its offset.  A
         vertex cell has zero width and a NaN W_i; the lookup never picks it.
         The same chords and facets certify the ellipse sandwich of
-        ``contains_many``, built here once and kept as ``_sandwich``
+        ``contains``, built here once and kept as ``_sandwich``
         (``_ellipse_sandwich``: M^-1, s_in^2 and s_out^2, or None).
         """
         if self._cell_cache is None:
@@ -762,8 +761,8 @@ class ConvexBody:
     def _gauge_refine(self, pts, idx, g0):
         """Gauges of the rows of pts, refined from their grid bounds g0 at
         the grid normals idx until they decide membership, and their
-        directions: ``contains_many`` refines the rows its bounds leave
-        open.  3D converges each row.  In 2D a row stops once certified
+        directions: ``contains`` refines the rows its bounds leave open, each
+        on its own.  3D converges each row.  In 2D a row stops once certified
         bounds decide gauge <= 1 + MEMBERSHIP_TOL, and its value is the
         deciding bound, so ``_inside`` reads the converged verdict."""
         U, _, _ = self._gauge_grid()
@@ -784,8 +783,15 @@ class ConvexBody:
         return float(g[0]), u[0]
 
     def contains(self, pts):
-        """Membership test; points within the gauge tolerance count inside."""
-        return self.contains_many([pts])[0]
+        """Membership test; points within the gauge tolerance count inside.
+        Bounds (``_membership_bounds``), then one sphere search for the
+        rows they leave open (``_gauge_refine``); each row is decided on
+        its own, so stacked point sets get the stacked verdicts."""
+        p = _point_rows(pts)
+        inside, m, idx, g = self._membership_bounds(p)
+        if len(m):
+            inside[m] = _inside(self._gauge_refine(p[m], idx, g)[0])
+        return inside
 
     def _sweep_sandwich(self):
         """The ellipse sandwich (M^-1, s_in^2, s_out^2) of ``_gauge_cells``
@@ -826,31 +832,6 @@ class ConvexBody:
         m = np.flatnonzero(m)
         return inside, rest[m], idx[m], g[m]
 
-    def contains_many(self, point_sets):
-        """``contains`` of each of an iterable of point sets, one bool array
-        per set, equal to it bit for bit: bounds set by set (in 2D the
-        ellipse sandwich, then the chord bracket on the rows between), then
-        one sphere search for the open rows of all sets, each row on its
-        own.  In 2D the search drops a row once certified bounds decide it
-        (``_gauge_refine``), so each verdict is the converged gauge's, to
-        rounding.  Only a set's verdicts and open rows outlive its bounds,
-        so sets made on demand are never all held."""
-        out, todo = [], []
-        for p in point_sets:
-            p = _point_rows(p)
-            v, m, idx, g = self._membership_bounds(p)
-            out.append((v, m))
-            if len(m):
-                todo.append((p[m], idx, g))
-        if todo:
-            pts, idx, g0 = (np.concatenate(t) for t in zip(*todo))
-            inside = _inside(self._gauge_refine(pts, idx, g0)[0])
-            start = 0
-            for v, m in out:
-                v[m] = inside[start:start + len(m)]
-                start += len(m)
-        return [v for v, _ in out]
-
     def __repr__(self):
         return f"{self.__class__.__name__}(dim={self.dim})"
 
@@ -860,13 +841,13 @@ class ConvexBody:
 
 class _ClosedGauge(ConvexBody):
     """A kind whose gauge has a closed form, ``_closed_gauge(pts)``: nothing
-    is refined, and ``contains_many`` answers each set on its own."""
+    is bounded or refined, and ``contains`` reads the gauge."""
 
     def gauge_many(self, pts):
         return self._closed_gauge(_point_rows(pts))
 
-    def contains_many(self, point_sets):
-        return [_inside(self.gauge_many(p)) for p in point_sets]
+    def contains(self, pts):
+        return _inside(self.gauge_many(pts))
 
     def _sweep_sandwich(self):
         # a closed gauge carries no bound of its rounding: an offset
@@ -1344,9 +1325,8 @@ class Dilate(ConvexBody):
     def gauge_many(self, pts):
         return self.body.gauge_many(np.asarray(pts, dtype=float) / self.factor)
 
-    def contains_many(self, point_sets):
-        return self.body.contains_many(_point_rows(p) / self.factor
-                                       for p in point_sets)
+    def contains(self, pts):
+        return self.body.contains(_point_rows(pts) / self.factor)
 
     def _sweep_sandwich(self):
         # membership is the body's, so it is certified when the body's is;

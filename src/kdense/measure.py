@@ -9,9 +9,8 @@ equal bit for bit to scipy's ``qmc.Sobol(d, scramble=True)``.  Each QMC
 route is one pass, ``_qmc_pass``, that tests a body's membership once per
 replicate and counts columns on the points inside; a sweep over copies
 x + rK sharing one G counts each copy on the points inside G.  In 2D K's
-ellipse sandwich decides most of a copy's points in G's frame, the rest of
-every copy go to one membership test of K, and the points K's bounds leave
-open share one sphere search.
+ellipse sandwich decides most of a copy's points in G's frame; the rest of
+successive copies go to one bounded batch of K's membership test each.
 """
 
 import math
@@ -29,6 +28,9 @@ from .errors import SingularCurvature
 OMEGA = {2: 2.0, 3: 2.0 * np.pi}
 # total surface measure of S^{N-1}
 SPHERE_MEASURE = {2: 2.0 * np.pi, 3: 4.0 * np.pi}
+
+# the fewest nodes whose half grid is not empty (3D nodes are antipode pairs)
+MIN_QUADRATURE_NODES = {2: 2, 3: 4}
 
 DEFAULT_QMC_POINTS = 2 ** 17
 DEFAULT_REPLICATES = 8
@@ -70,10 +72,11 @@ class QuadratureGrid:
 
 
 def _workers():
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
+    raw = os.environ.get(WORKERS_ENV, "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"{WORKERS_ENV} must be a positive integer, "
+                         f"not {raw!r}")
+    return int(raw)
 
 
 def _replicate_map(fn, replicates):
@@ -173,14 +176,18 @@ def _qmc_pass(body, n, replicates, seed, columns=None, keep=None):
     ``columns(inner)`` returns on those points, and box is the body's box.
     Membership is decided row by row, so each count equals the plain
     indicator's."""
+    for name, v in (("n", n), ("replicates", replicates)):
+        if not isinstance(v, (int, np.integer)) or v < 1:
+            raise ValueError(f"{name} must be an integer >= 1, not {v!r}")
     lo, hi = box = bounding_box(body)
 
     def one(rep):
         pts = _box_points(_sobol(len(lo), n, seed, rep), lo, hi)
         if keep is not None:
             pts = pts.compress(keep(pts), axis=0)
-        inner = pts.compress(body.contains(pts), axis=0)
-        return [len(inner)] + (columns(inner) if columns else [])
+        # dropping the box points before the columns run lowers peak memory
+        pts = pts.compress(body.contains(pts), axis=0)
+        return [len(pts)] + (columns(pts) if columns else [])
 
     counts = np.array(_replicate_map(one, replicates))
     return counts[:, 0], counts[:, 1:], box
@@ -196,6 +203,9 @@ def volume_quadrature(body, n=None):
 
     Raises SingularCurvature if any node has degenerate curvature data.
     """
+    if n is not None and n < MIN_QUADRATURE_NODES[body.dim]:
+        raise ValueError(f"too few quadrature nodes for an error estimate: "
+                         f"{n}")
     grid = QuadratureGrid(body.dim, n)
     full = _support_integral(body, grid)
     half = QuadratureGrid(body.dim, len(grid.nodes) // 2)
@@ -223,6 +233,8 @@ def volume(body, method="auto", n=None, qmc_points=DEFAULT_QMC_POINTS,
     the quadrature error estimate has not converged (flat spots slow the
     support integral to an algebraic rate).
     """
+    if method not in ("auto", "quadrature", "qmc"):
+        raise ValueError(f"unknown volume method {method!r}")
     if method in ("auto", "quadrature"):
         try:
             res = volume_quadrature(body, n)
@@ -238,6 +250,9 @@ def volume(body, method="auto", n=None, qmc_points=DEFAULT_QMC_POINTS,
 # the rounding bound of the expanded quadratic form is at most this share of
 # SANDWICH_MARGIN r^2 q_in.
 SWEEP_ROUNDING_SHARE = 0.25
+# K tests the rows of successive copies of a sweep in one call once they
+# reach this many: a memory bound, 1.5 MB of 3D points per call
+SWEEP_BATCH_ROWS = 2 ** 16
 
 
 def _in_box(cols, a, b):
@@ -253,11 +268,10 @@ class _CopySweep:
     returns the number of them inside each copy x + rK.
 
     A copy keeps the points whose (p - x) / r lie in K's ``bounding_box``:
-    ``K.contains`` decides them, and every other point is outside.  Without
-    a sandwich (3D, closed gauges, a rejected fit) each copy first keeps
-    the rows inside x + r [lo, hi] in G's frame, widened by a rounding pad,
-    computes (p - x) / r and K's box test on those rows only, and one
-    ``K.contains_many`` call per replicate streams the copies' sets.
+    ``K.contains`` decides them, and every other point is outside.  Each
+    copy hands K a set of G's points; K tests the sets of successive copies
+    in one call once they hold SWEEP_BATCH_ROWS rows, and at the last copy.
+    ``contains`` decides each row on its own, so batches change no count.
 
     With K's ellipse sandwich (``ConvexBody._sweep_sandwich``) a copy
     decides its rows in G's frame first.  Per replicate the rows p give
@@ -265,12 +279,11 @@ class _CopySweep:
     Q(p - x) = Q(p) - 2 p' M^-1 x + Q(x) is one dot product per row, and a
     row is inside when Q(p - x) <= r^2 q_in and outside when it exceeds
     r^2 q_out (``bodies._sandwich_levels``).  Only the rows between, the
-    copy's shell, get (p - x) / r and K's box test, and the shells of all
-    copies go to one ``K.contains`` call per replicate.  A copy whose
-    rounding bound fails the check below, such as one with a tiny r or far
-    from the origin, keeps the box in G's frame instead, and its rows join
-    that call.  Either way the count is that of the plain indicator
-    K((p - x) / r).
+    copy's shell, go to K.  Every other copy (3D, closed gauges, a rejected
+    fit, or a rounding bound that fails the check below, as for a tiny r or
+    a copy far from the origin) hands K the rows inside x + r [lo, hi] in
+    G's frame, widened by a rounding pad.  Either way the count is that of
+    the plain indicator K((p - x) / r).
     """
 
     def __init__(self, K, copies):
@@ -294,9 +307,9 @@ class _CopySweep:
         if self.sandwich is None:
             return
         Minv, q_in, q_out = bodies._sandwich_levels(self.sandwich)
-        X = self.points = np.array([c[0] for c in self.copies]).reshape(-1, 2)
-        self.radii = np.array([c[1] for c in self.copies])
-        r2 = self.radii * self.radii
+        X = np.array([c[0] for c in self.copies]).reshape(-1, 2)
+        r = np.array([c[1] for c in self.copies])
+        r2 = r * r
         k = bodies._quadratic_form(X, Minv)
         self.form = Minv.tolist()
         self.weights = (-2.0 * X).tolist()
@@ -345,9 +358,6 @@ class _CopySweep:
         return 8.0 * np.finfo(float).eps * e <= self.budget
 
     def __call__(self, inner):
-        if self.sandwich is None or not self.copies:
-            return self._streamed(inner)
-        lo, hi = self.box
         cols = [np.ascontiguousarray(c) for c in inner.T]
         decided = self.decided(cols)
         if decided.any():
@@ -361,45 +371,47 @@ class _CopySweep:
             ay += py * c
             qp = ax * px
             qp += ay * py
-        counts, rows = [], []
+        counts = np.zeros(len(self.copies), dtype=np.int64)
+        rows, size, first = [], 0, 0
         for j, (x, r, a, b) in enumerate(self.copies):
             if decided[j]:
                 (wx, wy), (t_in, t_out) = self.weights[j], self.levels[j]
                 d = ax * wx
                 d += qp
                 d += ay * wy
-                counts.append(np.count_nonzero(d <= t_in))
+                counts[j] = np.count_nonzero(d <= t_in)
                 rows.append(np.flatnonzero((d > t_in) & (d <= t_out)))
             else:
-                counts.append(0)
                 rows.append(np.flatnonzero(_in_box(cols, a, b)))
-        # (p - x) / r of every copy's rows at once, then K's box; the same
-        # two roundings per coordinate as for one copy at a time
-        copy = np.repeat(np.arange(len(rows)), [len(i) for i in rows])
-        q = inner.take(np.concatenate(rows), axis=0)
-        q -= self.points[copy]
-        q /= self.radii[copy, None]
-        keep = _in_box(q.T, lo, hi)
-        inside = self.K.contains(q.compress(keep, axis=0))
-        hits = np.bincount(copy[keep][inside], minlength=len(rows))
-        return (np.array(counts) + hits).tolist()
+            size += len(rows[-1])
+            if size >= SWEEP_BATCH_ROWS or j == len(self.copies) - 1:
+                counts[first:j + 1] += self._hits(cols, rows, first)
+                rows, size, first = [], 0, j + 1
+        return counts.tolist()
 
-    def _streamed(self, inner):
-        lo, hi = self.box
-        cols = [np.ascontiguousarray(c) for c in inner.T]
-
-        def near(x, r, a, b):
-            # the rows in G's frame, then (p - x) / r and K's box on them;
-            # x is subtracted column by column, which numpy loops over
-            # faster than a broadcast along rows of two or three
-            q = inner.compress(_in_box(cols, a, b), axis=0)
-            for i in range(len(cols)):
-                np.subtract(q[:, i], x[i], out=q[:, i])
-            np.divide(q, r, out=q)
-            return q.compress(_in_box(q.T, lo, hi), axis=0)
-
-        sets = self.K.contains_many(near(*c) for c in self.copies)
-        return [int(np.count_nonzero(h)) for h in sets]
+    def _hits(self, cols, rows, first):
+        """K's hits among the rows of copies first, first + 1, ...: their
+        (p - x) / r, coordinate by coordinate and copy by copy with the
+        same two roundings as one copy at a time, then K's box and one
+        ``K.contains`` call.  ``rows`` is emptied, so that the row indices
+        are gone before that call."""
+        ends = np.cumsum([len(i) for i in rows])
+        segments = [slice(e - len(i), e) for i, e in zip(rows, ends)]
+        idx = np.concatenate(rows)
+        rows.clear()
+        q = [c.take(idx) for c in cols]
+        del idx
+        for s, (x, r, _, _) in zip(segments, self.copies[first:]):
+            for y, xi in zip(q, x):
+                v = y[s]
+                v -= xi
+                v /= r
+        keep = _in_box(q, *self.box)
+        pts = np.column_stack([y.compress(keep) for y in q])
+        del q
+        hit = np.zeros(len(keep), dtype=bool)
+        hit[keep] = self.K.contains(pts)
+        return [np.count_nonzero(hit[s]) for s in segments]
 
 
 def _copy_counts(G, K, copies, n, replicates, seed):
@@ -408,9 +420,9 @@ def _copy_counts(G, K, copies, n, replicates, seed):
     ``copies`` is a sequence of pairs (x, r), each x a finite point and
     each r finite and positive; ``_qmc_pass`` tests G's membership once per
     replicate, and its columns, a ``_CopySweep``, count each copy on the
-    points inside G with one K membership call per replicate: in 2D K's
-    ellipse sandwich decides most rows in G's frame, and the points K's
-    bounds leave open in all copies share one sphere search.
+    points inside G: in 2D K's ellipse sandwich decides most rows in G's
+    frame, and K tests the other rows of successive copies in one call per
+    SWEEP_BATCH_ROWS rows, whose open points share one sphere search.
     Returns (inside, hits, box): inside[i] is the number of the n points of
     replicate i inside G, hits[i, j] the number of those inside copy j as
     well, and box is G's box.  The deficit count of copy j is

@@ -156,6 +156,15 @@ class TestKdenseSpread:
         with pytest.raises(ValueError):
             kdense_spread(Ball(1.0), Ball(2.0), 0.5, m=4)
 
+    def test_minimum_replicates(self):
+        # one replicate has no standard error: the budget was NaN, and the
+        # ellipse read as not constant
+        G = Ellipsoid.from_semiaxes(2.0, 1.0)
+        for reps in (1, 0):
+            with pytest.raises(ValueError, match="replicates"):
+                kdense_spread(G, difference_body(G), 0.5, m=8, n=2 ** 10,
+                              replicates=reps)
+
 
 class TestPetty:
     def test_ball(self):
@@ -341,6 +350,12 @@ class TestHalfVolume:
             rep = halfvolume_condition_check(Ball(1.0), K, m=8, **FAST)
             assert rep.constant
             assert abs(rep.mean - 0.5) <= rep.error_budget
+
+    def test_minimum_replicates(self):
+        # one replicate used to give a NaN budget and a failing verdict
+        with pytest.raises(ValueError, match="replicates"):
+            halfvolume_condition_check(Ball(1.0), Ball(2.0), m=8, n=2 ** 10,
+                                       replicates=1)
 
     def test_off_center_ball_fails(self):
         K = Ball(1.0, center=[0.3, 0.0])

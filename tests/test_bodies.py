@@ -1125,9 +1125,9 @@ class TestGauge:
                 assert g == g_ref and np.array_equal(n, -n_ref)
 
 
-class TestContainsMany:
-    """contains_many bounds each set on its own and refines the open points
-    of all sets together; per set it must equal contains bit for bit."""
+class TestContains:
+    """contains bounds every row and refines the open rows in one search;
+    each row's verdict is its own, which the copy sweep's batches rely on."""
 
     @staticmethod
     def _bodies():
@@ -1154,31 +1154,28 @@ class TestContainsMany:
         decided = np.vstack([0.1 * X, 5.0 * X])
         return near[:1] + [np.empty((0, K.dim)), decided] + near[1:]
 
-    def test_equals_contains(self):
+    def test_rows_are_independent(self):
+        # the verdicts of stacked sets are the stacked verdicts, bit for bit
         rng = np.random.default_rng(21)
         for K in self._bodies():
             sets = self._sets(K, rng)
-            got = K.contains_many(sets)
-            assert len(got) == len(sets)
-            for g, P in zip(got, sets):
-                want = K.contains(P)
-                assert g.dtype == bool and g.shape == (len(P),)
-                assert np.array_equal(g, want), K
+            got = K.contains(np.vstack(sets))
+            want = np.concatenate([K.contains(P) for P in sets])
+            assert got.dtype == bool and got.shape == want.shape
+            assert np.array_equal(got, want), K
 
-    def test_empty_sets(self):
+    def test_empty_input(self):
         for K in self._bodies():
-            assert K.contains_many([]) == []
-            got = K.contains_many([np.empty((0, K.dim))] * 3)
-            assert [g.shape for g in got] == [(0,)] * 3
-            assert all(g.dtype == bool for g in got)
+            got = K.contains(np.empty((0, K.dim)))
+            assert got.dtype == bool and got.shape == (0,)
 
-    def test_one_search_for_all_sets(self, monkeypatch):
+    def test_one_search_for_all_open_rows(self, monkeypatch):
         rng = np.random.default_rng(22)
         for K in (difference_body(Superellipse2D(4.0)),
                   difference_body(Ellipsoid.from_semiaxes(1.5, 1.0, 0.8))):
             sets = self._sets(K, rng)
-            open_rows = sum(int(np.count_nonzero(K._gauge_bounds(P)[2]))
-                            for P in sets)
+            P = np.vstack(sets)
+            open_rows = int(np.count_nonzero(K._gauge_bounds(P)[2]))
             assert not K._gauge_bounds(sets[2])[2].any()
             rows = []
 
@@ -1187,7 +1184,8 @@ class TestContainsMany:
                 return _orig(pts, idx, g0)
 
             monkeypatch.setattr(K, "_gauge_refine", counting)
-            K.contains_many(sets)
+            K.contains(P)
+            monkeypatch.undo()
             assert rows == [open_rows] and open_rows > 0
 
 
@@ -1404,7 +1402,7 @@ class TestEllipseSandwich:
         rng = np.random.default_rng(31)
         for K in self._bodies():
             for P in self._points(K, rng):
-                got = ConvexBody.contains_many(K, [P])[0]
+                got = ConvexBody.contains(K, P)
                 assert np.array_equal(got, self._bracket_verdicts(K, P)), K
 
     def test_non_finite_rows(self):
@@ -1454,7 +1452,7 @@ class TestSearchStopsOnBounds:
         for K in self._bodies():
             for rel in (1e-13, 1e-11, 1e-8):
                 P = self._rows(K, rel)
-                got = ConvexBody.contains_many(K, [P])[0]
+                got = ConvexBody.contains(K, P)
                 g = ConvexBody.gauge_many(K, P)
                 assert np.array_equal(got, g <= 1.0 + self.TOL), (K, rel)
                 half = len(P) // 2

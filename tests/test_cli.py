@@ -382,7 +382,7 @@ kind = kdense
 body = d
 k = k
 r = 0.5
-points = 4
+points = 8
 qmc_points = 1024
 replicates = 2
 """)
@@ -431,6 +431,42 @@ body = g
         err = capsys.readouterr().err
         where = "experiment x" if "[experiment x]" in body else "body g"
         assert "config error" in err and where in err
+
+    @pytest.mark.parametrize("kind, line", [
+        ("kdense", "replicates = 1"), ("kdense", "points = 7"),
+        ("report", "replicates = 1"), ("asymptotic", "replicates = 1")])
+    def test_too_few_replicates_or_points_rejected(self, tmp_path, capsys,
+                                                   kind, line):
+        # one replicate has a NaN standard error, so every budgeted verdict
+        # failed with exit 0; fewer than 8 points raised a traceback
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"""
+[body d]
+kind = ellipsoid
+semiaxes = 2.0 1.0
+
+[experiment x]
+kind = {kind}
+body = d
+qmc_points = 1024
+{line}
+""")
+        out = tmp_path / "o"
+        assert main(["verify", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and line.split()[0] in err
+        assert not out.exists()
+
+    def test_shipped_config_with_one_replicate_rejected(self, tmp_path,
+                                                        capsys):
+        text = pathlib.Path(SHIPPED).read_text()
+        assert "replicates = 4" in text
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(text.replace("replicates = 4", "replicates = 1"))
+        out = tmp_path / "o"
+        assert main(["verify", str(cfg), "--out", str(out)]) == 1
+        assert "replicates" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_python_m_kdense(self, tmp_path):
         # a checkout runs the command line without an installed script

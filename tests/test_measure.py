@@ -96,6 +96,47 @@ class TestVolume:
         assert res.method == "qmc"
         assert res.value == pytest.approx(_pnorm_ball_area(4.0), rel=5e-3)
 
+    def test_bad_method_rejected(self):
+        # an unknown method used to run qmc silently
+        with pytest.raises(ValueError, match="bogus"):
+            volume(Ball(1.0), method="bogus")
+
+    @pytest.mark.parametrize("dim, n", [(2, 0), (2, 1), (3, 1), (3, 3)])
+    def test_too_few_quadrature_nodes(self, dim, n):
+        # an empty half grid used to divide by zero
+        with pytest.raises(ValueError, match="quadrature nodes"):
+            volume_quadrature(Ball(1.0, dim=dim), n)
+
+    @pytest.mark.parametrize("dim, n", [(2, 2), (3, 4)])
+    def test_fewest_quadrature_nodes(self, dim, n):
+        res = volume_quadrature(Ball(1.0, dim=dim), n)
+        assert res.sample_count >= n // 2 and math.isfinite(res.stderr)
+
+    @pytest.mark.parametrize("name, value", [
+        ("n", 0), ("n", -4), ("n", 1.5), ("n", 1024.0),
+        ("replicates", 0), ("replicates", 2.5)])
+    def test_bad_qmc_inputs_rejected(self, name, value):
+        # they used to fail deep inside with an OverflowError, a TypeError
+        # or an IndexError
+        args = dict(n=1024, replicates=2, seed=0) | {name: value}
+        with pytest.raises(ValueError, match=name):
+            volume_qmc(Ball(1.0), **args)
+        with pytest.raises(ValueError, match=name):
+            intersection_volume(Ball(1.0), Ball(1.0), [1.0, 0.0], 0.5, **args)
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+    def test_bad_worker_count_rejected(self, monkeypatch, value):
+        # each used to run silently with one worker
+        monkeypatch.setenv(measure.WORKERS_ENV, value)
+        with pytest.raises(ValueError, match=measure.WORKERS_ENV):
+            volume_qmc(Ball(1.0), n=1024, replicates=2, seed=0)
+
+    def test_worker_count_keeps_values(self, monkeypatch):
+        want = volume_qmc(Ball(1.0), n=1024, replicates=3, seed=0)
+        monkeypatch.setenv(measure.WORKERS_ENV, "2")
+        got = volume_qmc(Ball(1.0), n=1024, replicates=3, seed=0)
+        assert (got.value, got.stderr) == (want.value, want.stderr)
+
     def test_determinism(self):
         a = volume_qmc(Ball(1.0), **FAST)
         b = volume_qmc(Ball(1.0), **FAST)
@@ -275,9 +316,9 @@ class TestPrunedPredicates:
                 # a forwarding kind: Dilate hands its points to its body
                 (S, Dilate(difference_body(S), 1.3))]
 
-    def _plain(self, dim, box, indicator):
+    def _plain(self, dim, box, indicator, rep=0):
         lo, hi = box
-        pts = lo + _sobol(dim, self.N, 0, 0) * (hi - lo)
+        pts = lo + _sobol(dim, self.N, 0, rep) * (hi - lo)
         return float(np.mean(indicator(pts))) * float(np.prod(hi - lo))
 
     def test_overlap_and_deficit(self):
@@ -360,16 +401,15 @@ class TestPrunedPredicates:
         K = difference_body(G)
         given, bracketed = [], []
 
-        def contains_many(sets, _orig=K.contains_many):
-            sets = [np.asarray(P) for P in sets]
-            given.extend(len(P) for P in sets)
-            return _orig(sets)
+        def contains(P, _orig=K.contains):
+            given.append(len(P))
+            return _orig(P)
 
         def bracket(pts, _orig=K._gauge_bracket):
             bracketed.append(len(pts))
             return _orig(pts)
 
-        monkeypatch.setattr(K, "contains_many", contains_many)
+        monkeypatch.setattr(K, "contains", contains)
         monkeypatch.setattr(K, "_gauge_bracket", bracket)
         kdense_spread(G, K, 0.5, m=16, n=self.N, replicates=4, seed=0)
         monkeypatch.undo()
@@ -397,34 +437,32 @@ class TestPrunedPredicates:
             [(far, 1e-3), (far, 9.0), (-far, 12.0)]
 
     def test_box_in_g_frame_keeps_k_rows(self, monkeypatch):
-        # without a sandwich each copy hands K the rows (p - x) / r of the
-        # points in G inside K's box; with one, K receives one set per
-        # replicate: per copy in turn, the box rows of the copy's shell, or
-        # all of its box rows for a copy that skips the G-frame decision
+        # K receives one set per replicate: per copy in turn, the rows
+        # (p - x) / r inside K's box of the copy's shell, or of all of G's
+        # points for a copy that skips the G-frame decision or a K without
+        # a sandwich
         for G, K in self._pairs():
             box = bounding_box(K)
             copies = self._copies(G)
             got = []
 
-            def contains_many(sets, _orig=K.contains_many):
-                sets = [np.array(P) for P in sets]
-                got.append(sets)
-                return _orig(sets)
+            def contains(P, _orig=K.contains):
+                got.append(np.array(P))
+                return _orig(P)
 
-            monkeypatch.setattr(K, "contains_many", contains_many)
+            monkeypatch.setattr(K, "contains", contains)
             _copy_counts(G, K, copies, self.N, 2, 0)
             monkeypatch.undo()
             sweep = measure._CopySweep(K, copies)
             glo, ghi = bounding_box(G)
             assert len(got) == 2
-            for rep, sets in enumerate(got):
+            for rep, given in enumerate(got):
                 P = glo + _sobol(G.dim, self.N, 0, rep) * (ghi - glo)
                 P = P[G.contains(P)]
                 boxed = [self._box_rows(P, x, r, box) for x, r in copies]
                 if sweep.sandwich is None:
-                    assert len(sets) == len(copies)
-                    for (Y, keep), Q in zip(boxed, sets):
-                        assert np.array_equal(Q, Y[keep])
+                    want = [Y[keep] for Y, keep in boxed]
+                    assert np.array_equal(given, np.concatenate(want))
                     continue
                 decided = sweep.decided(list(P.T))
                 assert decided.any() and not decided.all()
@@ -443,8 +481,52 @@ class TestPrunedPredicates:
                                                      atol=0.0))
                         keep = keep & (Q > t_in) & (Q <= t_out)
                     want.append(Y[keep])
-                assert len(sets) == 1
-                assert np.array_equal(sets[0], np.concatenate(want))
+                assert np.array_equal(given, np.concatenate(want))
+
+    def test_batches_bound_k_calls(self, monkeypatch):
+        # a 3D sweep whose copies hand K more than SWEEP_BATCH_ROWS rows a
+        # replicate: K tests them in several calls, each ending at the first
+        # copy whose rows reach the bound, and the counts are the plain
+        # indicator's
+        G = Ellipsoid.from_semiaxes(1.5, 1.0, 0.8)
+        K = difference_body(G)
+        n, replicates, budget = 2 ** 14, 2, measure.SWEEP_BATCH_ROWS
+        copies = [(x, r) for x in boundary_points(G, sphere_directions(3, 4))
+                  for r in (0.5, 1.0, 1.5)]
+        calls = []
+
+        def contains(P, _orig=K.contains):
+            calls.append(len(P))
+            return _orig(P)
+
+        monkeypatch.setattr(K, "contains", contains)
+        _, hits, _ = _copy_counts(G, K, copies, n, replicates, 0)
+        monkeypatch.undo()
+        sweep = measure._CopySweep(K, copies)
+        assert sweep.sandwich is None
+        box = bounding_box(K)
+        glo, ghi = bounding_box(G)
+        want, most = [], 0
+        for rep in range(replicates):
+            P = glo + _sobol(3, n, 0, rep) * (ghi - glo)
+            P = P[G.contains(P)]
+            handed = boxed = 0
+            start = len(want)
+            for j, ((x, r), (_, _, a, b)) in enumerate(zip(copies,
+                                                           sweep.copies)):
+                # a copy hands K the rows in its box in G's frame; K's box
+                # keeps those it tests
+                rows = int(np.count_nonzero(((P >= a) & (P <= b)).all(1)))
+                Y, keep = self._box_rows(P, x, r, box)
+                assert hits[rep, j] == np.count_nonzero(K.contains(Y[keep]))
+                handed, boxed = handed + rows, boxed + np.count_nonzero(keep)
+                most = max(most, rows)
+                if handed >= budget or j == len(copies) - 1:
+                    want.append(boxed)
+                    handed = boxed = 0
+            assert len(want) - start >= 2
+        assert calls == want
+        assert max(calls) <= budget + most
 
     def test_rows_at_the_levels(self):
         # rows placed just inside and outside the sandwich's radii and the
@@ -484,19 +566,23 @@ class TestPrunedPredicates:
 
     def test_halfspace_cut(self):
         # alone, and as the columns of the half-volume battery's one pass:
-        # V(K) and each cut are the plain indicators' counts
+        # V(K) and each cut are the plain indicators' counts, averaged over
+        # the battery's least number of replicates, two
+        reps = (0, 1)
         for G, K in self._pairs():
             box = bounding_box(K)
-            vol = self._plain(K.dim, box, K.contains)
+            vol = np.mean([self._plain(K.dim, box, K.contains, i)
+                           for i in reps])
             battery = halfvolume_condition_check(G, K, m=4, n=self.N,
-                                                 replicates=1, seed=0)
+                                                 replicates=len(reps), seed=0)
             assert battery.extra["volume"].value == vol
             for u, frac in zip(sphere_directions(K.dim, 4), battery.values):
                 u = as_direction(u)
-                plain = self._plain(
-                    K.dim, box, lambda P: K.contains(P) & (P @ u >= 0.0))
-                cut = halfspace_cut_volume(K, u, n=self.N, replicates=1,
-                                           seed=0)
+                plain = np.mean([self._plain(
+                    K.dim, box, lambda P: K.contains(P) & (P @ u >= 0.0), i)
+                    for i in reps])
+                cut = halfspace_cut_volume(K, u, n=self.N,
+                                           replicates=len(reps), seed=0)
                 assert cut.value == plain
                 assert frac == plain / vol
 

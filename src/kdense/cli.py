@@ -316,6 +316,10 @@ def main(argv=None):
                        help="qmc point-count override")
     args = parser.parse_args(argv)
     try:
+        measure._workers()
+    except ValueError as e:
+        parser.error(str(e))
+    try:
         cfg = load_config(args.config)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

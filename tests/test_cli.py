@@ -512,6 +512,25 @@ of = d
         assert "usage:" in err and flag in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("workers", ["abc", "0", "-2"])
+    def test_bad_worker_count_rejected(self, tmp_path, capsys, monkeypatch,
+                                       workers):
+        # a usage error naming the variable, before any run; it used to
+        # surface as a traceback from inside the first QMC pass
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(SMALL.format(out=tmp_path / "unused"))
+        monkeypatch.setenv("KDENSE_WORKERS", workers)
+        monkeypatch.setattr("kdense.cli.load_config",
+                            lambda *a: pytest.fail("the config was read"))
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", str(cfg), "--out", str(tmp_path / "o")])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "KDENSE_WORKERS" in err
+        assert repr(workers) in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+        assert not (tmp_path / "unused").exists()
+
     def test_bad_sample_count_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("""

@@ -150,7 +150,7 @@ class TestSobol:
 
     @staticmethod
     def _engines(d, seed, rep):
-        return (qmc.Sobol(d=d, seed=np.random.default_rng([seed, rep])),
+        return (qmc.Sobol(d=d, entropy=(seed, rep)),
                 scipy_qmc.Sobol(d, scramble=True,
                                 seed=np.random.default_rng([seed, rep])))
 
@@ -176,7 +176,39 @@ class TestSobol:
 
     def test_dimension_limit(self):
         with pytest.raises(ValueError):
-            qmc.Sobol(d=4, seed=np.random.default_rng([0, 0]))
+            qmc.Sobol(d=4, entropy=(0, 0))
+
+    @pytest.mark.parametrize("entropy", [
+        (0, 0), (1, 3), (7, 2), (12345, 1), (5,), (2 ** 32 + 5, 0),
+        (2 ** 70 + 3, 3), (3, 2 ** 32 + 5)])
+    def test_bits_equal_numpy_generator(self, entropy):
+        # numpy's Generator is the oracle: the scipy engine spawns a child
+        # of default_rng(entropy) and draws its bits as 0/1 uint32s
+        for d in (1, 2, 3):
+            n = d * qmc.DRAWS
+            ref = np.random.default_rng(entropy).spawn(1)[0].integers(
+                0, 2, n, dtype=np.uint32)
+            assert np.array_equal(qmc._bits(entropy, n), ref), (d, entropy)
+
+    @pytest.mark.parametrize("entropy", [(-1, 0), (0, -2), (1.5, 0)])
+    def test_bad_entropy_rejected(self, entropy):
+        with pytest.raises(ValueError):
+            qmc.Sobol(d=2, entropy=entropy)
+
+    @pytest.mark.filterwarnings("ignore:The balance properties")
+    def test_point_counts(self):
+        for d in (2, 3):
+            ours, ref = self._engines(d, 4, 1)
+            for n in (0, 5, 0, 3):
+                # no points leave the engine's state as it was
+                got = ours.random(n)
+                assert got.shape == (n, d)
+                assert np.array_equal(got, ref.random(n))
+            for n in (-1, 2.5):
+                with pytest.raises(ValueError):
+                    ours.random(n)
+            assert ours.num_generated == 8
+            assert np.array_equal(ours.random(4), ref.random(4))
 
     def test_cached_points_are_read_only(self):
         pts = _sobol(2, 2 ** 10, 0, 0)
@@ -227,14 +259,33 @@ class TestSobol:
             cache.clear()
             cache.update(saved)
 
-    def test_import_does_not_load_scipy_stats(self):
+    def test_import_does_not_load_scipy_stats(self, tmp_path):
+        # scipy and numpy's random module are test oracles only: neither is
+        # loaded by the import, a QMC volume or a whole verify run
         src = os.path.dirname(os.path.dirname(kdense.__file__))
         env = dict(os.environ, PYTHONPATH=src)
+        env.pop("KDENSE_WORKERS", None)
+        shipped = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                               "configs", "verify.cfg")
+        prog = """if True:
+            import sys, kdense, kdense.cli
+            from kdense.bodies import Ball
+            from kdense.measure import volume_qmc
+            def loaded():
+                return [m for m in ("scipy", "numpy.random")
+                        if m in sys.modules]
+            seen = [loaded()]
+            volume_qmc(Ball(1.0), n=2 ** 10, replicates=2, seed=0)
+            seen.append(loaded())
+            code = kdense.cli.main(["verify", sys.argv[1], "--out",
+                                    sys.argv[2]])
+            seen.append(loaded())
+            print(code, seen)
+            """
         out = subprocess.run(
-            [sys.executable, "-c", "import sys, kdense, kdense.cli; "
-             "print('scipy.stats' in sys.modules)"],
+            [sys.executable, "-c", prog, shipped, str(tmp_path / "out")],
             env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.splitlines()[-1] == "0 [[], [], []]"
 
 
 class TestBoundingBox:

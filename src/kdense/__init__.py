@@ -23,7 +23,7 @@ from .asymptotics import (PowerLawFit, convention_factor, deficit_ladder,
 from .analysis import (SpreadReport, curvature_symmetry_check,
                        halfvolume_condition_check, k_equals_2g_check,
                        kdense_spread, kp1_check, krantz_parks_check,
-                       petty_check, touch_point)
+                       petty_check, touch_point, touch_points)
 from .oracles import (ConvexPolygon, ball_lens_volume, disk_lens_area,
                       ellipse_curvature_param, polygon_clip_area)
 

@@ -16,8 +16,7 @@ import numpy as np
 from . import measure
 from .bodies import (_as_directions, _block_sum, _curvature, _direction,
                      _grid_spacing, _is_difference_body, boundary_points,
-                     curvature_many, difference_body, normal_at,
-                     sphere_directions)
+                     curvature_many, difference_body, sphere_directions)
 from .errors import NonUniqueContact
 
 # how far below the top of the support-ratio scan a normal still counts as
@@ -65,33 +64,53 @@ def touch_point(G, K, x, samples=None):
     boundary points at them; a lone touching vertex of G is unique contact.
     The scan reads both bodies' cached sphere grids, ``samples`` directions
     (by default their gauge grids), so a repeated call evaluates no support
-    function on them.
+    function on them.  This is the one-row case of ``touch_points``.
     """
-    return _touch(G, K, x, samples)[:2]
+    row, = touch_points(G, K, np.asarray(x, dtype=float)[None, :], samples)
+    if isinstance(row, NonUniqueContact):
+        raise row
+    return row[:2]
 
 
-def _touch(G, K, x, samples=None):
-    """``touch_point``'s (xbar, u), and K's gauge of xbar - x with its
-    normal there, from the one ``K.gauge_argmax`` that checks the
-    inscribed-copy condition gauge_K(xbar - x) = 1."""
-    x = np.asarray(x, dtype=float)
-    U, f = measure._support_ratio_scan(G, K, x, samples)
-    dirs = U[f > np.max(f) - CONTACT_TOL]
-    # angular diameter of the contact directions
-    diam = float(np.max(np.arccos(np.clip(dirs @ dirs.T, -1.0, 1.0))))
-    if diam > 8.0 * _grid_spacing(G.dim, len(U)):
-        raise NonUniqueContact(
-            f"contact set spans an angular diameter of {diam:.3f} rad",
-            contact_points=boundary_points(G, dirs))
-    u = -normal_at(G, x)
-    xbar = boundary_points(G, u[None, :])[0]
-    gk, nu_k = K.gauge_argmax(xbar - x)
-    if abs(gk - 1.0) > CONTACT_TOL:
-        raise NonUniqueContact(
-            f"touch point fails the inscribed-copy condition "
-            f"(gauge_K(xbar - x) = {gk:.8f})",
-            contact_points=boundary_points(G, dirs))
-    return xbar, u, gk, nu_k
+def touch_points(G, K, X, samples=None):
+    """``touch_point`` at every row x of X, with K's side of the contact.
+
+    Per row: (xbar, u) and K's gauge of xbar - x with its normal there,
+    from the search that checks the inscribed-copy condition
+    gauge_K(xbar - x) = 1; or the NonUniqueContact that ``touch_point``
+    raises for that row, returned, not raised.  Each row is screened by
+    its own support-ratio scan; then one stacked normal search on G gives
+    every u, and one stacked search of K's gauge every xbar - x.  Both
+    searches give each row its one-row bits (``gauge_argmax_many``).
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    out, contact = [None] * len(X), [None] * len(X)
+    for i, x in enumerate(X):
+        U, f = measure._support_ratio_scan(G, K, x, samples)
+        dirs = U[f > np.max(f) - CONTACT_TOL]
+        # angular diameter of the contact directions
+        diam = float(np.max(np.arccos(np.clip(dirs @ dirs.T, -1.0, 1.0))))
+        if diam > 8.0 * _grid_spacing(G.dim, len(U)):
+            out[i] = NonUniqueContact(
+                f"contact set spans an angular diameter of {diam:.3f} rad",
+                contact_points=boundary_points(G, dirs))
+        else:
+            contact[i] = dirs
+    rows = [i for i in range(len(X)) if out[i] is None]
+    if rows:
+        Xr = X if len(rows) == len(X) else X[rows]
+        u = -G.gauge_argmax_many(Xr)[1]
+        xbar = boundary_points(G, u)
+        gk, nu_k = K.gauge_argmax_many(xbar - Xr)
+        for j, (i, g) in enumerate(zip(rows, gk.tolist())):
+            if abs(g - 1.0) > CONTACT_TOL:
+                out[i] = NonUniqueContact(
+                    f"touch point fails the inscribed-copy condition "
+                    f"(gauge_K(xbar - x) = {g:.8f})",
+                    contact_points=boundary_points(G, contact[i]))
+            else:
+                out[i] = (xbar[j], u[j], g, nu_k[j])
+    return out
 
 
 def kdense_spread(G, K, r, m=64, n=measure.DEFAULT_QMC_POINTS,

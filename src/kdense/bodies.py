@@ -22,8 +22,15 @@ superellipses and Reuleaux triangles need only finite parameters.  Each
 body caches its sphere grid and its support values there, once per size:
 the gauge reads the default size, the support-ratio scans any size.
 One sphere search for the largest support ratio serves gauges, normals
-and circumscribed ratios, whose scan also screens touch points; closed
-gauges answer ``gauge_argmax`` in closed form too.  ``gauge_many``
+and circumscribed ratios, whose scan also screens touch points.  Each kind
+has one stacked gauge-and-normal primitive, ``gauge_argmax_many``, and
+``gauge_argmax(v)`` is its row 0: the generic kinds answer with one search
+over all rows, the closed gauges (balls, ellipsoids, superellipses,
+Reuleaux triangles) in closed form, and a dilate by its body's.  Its rows
+do not depend on each other, bit for bit: BLAS rounds a row of a stacked
+matrix-vector product by its place in the stack, so those products are
+taken row by row (``_OffsetQuadric``, ``_unit_rows``) and support offsets
+<v, c> are summed column by column (``_plus_row_dots``).  ``gauge_many``
 is exact; membership is the bounded path.  A 2D point is first compared
 with an ellipse sandwich certified by the inner polygon of the grid chords
 and the outer polygon of the grid normals; a point between is bracketed by
@@ -526,6 +533,20 @@ def _sandwich_levels(sandwich):
             s_out2 * (1.0 + MEMBERSHIP_TOL) ** 2 * (1.0 + SANDWICH_MARGIN))
 
 
+def _plus_row_dots(h, V, c):
+    """h + <v, c> for each row v of V; h itself when c is zero.  The dot
+    products are summed column by column over the nonzero components of c:
+    BLAS rounds a row of a stacked matrix-vector product by its place in
+    the stack, and a search's rows must not depend on the rows stacked
+    with them."""
+    d = None
+    for j, cj in enumerate(c.tolist()):
+        if cj != 0.0:
+            t = V[:, j] * cj
+            d = t if d is None else d + t
+    return h if d is None else h + d
+
+
 def _sqrt(x):
     """Square root of a float or an array; both are correctly rounded, so
     a stacked entry equals its single-direction value."""
@@ -777,9 +798,17 @@ class ConvexBody:
         U, _, _ = self._gauge_grid()
         return support_ratio_max(self, SupportRows(pts), U[idx], g0, len(U))
 
+    def gauge_argmax_many(self, pts):
+        """Gauges of the rows of pts and their maximizing directions, the
+        outward normals at pts / gauge: one sphere search for every row.
+        Each row's values are those of the row alone, bit for bit; a kind
+        with a closed gauge answers in closed form."""
+        return self._gauge_exact(_point_rows(pts))
+
     def gauge_argmax(self, v):
-        """Gauge of a single vector together with the maximizing direction."""
-        g, u = self._gauge_exact(np.asarray(v, dtype=float)[None, :])
+        """Gauge of a single vector together with the maximizing direction:
+        row 0 of ``gauge_argmax_many``."""
+        g, u = self.gauge_argmax_many(np.asarray(v, dtype=float)[None, :])
         return float(g[0]), u[0]
 
     def contains(self, pts):
@@ -870,11 +899,12 @@ class Ball(_ClosedGauge):
                 f"radius must be positive and finite, not {radius}")
         self.radius = float(radius)
         self.center = center
-        self._Qinv = np.eye(dim) / self.radius ** 2
-        _check_origin_interior(self.kind, self._Qinv, center)
+        self._quadric = _OffsetQuadric(self.kind,
+                                       np.eye(dim) / self.radius ** 2, center)
 
     def _support_impl(self, V):
-        return self.radius * np.linalg.norm(V, axis=1) + V @ self.center
+        return _plus_row_dots(self.radius * np.linalg.norm(V, axis=1), V,
+                              self.center)
 
     def _gradient_impl(self, V):
         return self.radius * V / np.linalg.norm(V, axis=1, keepdims=True) + self.center
@@ -884,56 +914,70 @@ class Ball(_ClosedGauge):
         return (r,) if self.dim == 2 else (r, 0.0, r)
 
     def _closed_gauge(self, pts):
-        return _offset_quadric_gauge(pts, self._Qinv, self.center)
+        return self._quadric.gauge(pts)
 
-    def gauge_argmax(self, v):
-        return _offset_quadric_argmax(v, self._Qinv, self.center)
-
-
-def _origin_margin(Qinv, c):
-    """1 - c' Qinv c, positive exactly when the origin is strictly interior
-    to {y : (y-c)' Qinv (y-c) <= 1}."""
-    return 1.0 - c @ Qinv @ c
+    def gauge_argmax_many(self, pts):
+        return self._quadric.argmax(_point_rows(pts))
 
 
-def _check_origin_interior(kind, Qinv, c):
-    """Decide in closed form, by the margin the gauge divides by, that the
-    quadric's origin is strictly interior: c.c < r^2 for a ball, and
-    c' Q^-1 c < 1 for an ellipsoid.  A non-finite center raises too."""
-    if c.shape != (len(Qinv),) or not np.isfinite(c).all():
-        raise ValueError(f"{kind}: center must be a finite {len(Qinv)}-vector")
-    a = _origin_margin(Qinv, c)
-    if not a > 0.0:
-        raise ValueError(f"{kind}: origin must be strictly interior "
-                         f"(1 - c' Q^-1 c = {a:.3e})")
+class _OffsetQuadric:
+    """{y : (y-c)' Qinv (y-c) <= 1} with the origin strictly interior: its
+    exact gauge about the origin and its outward normals.  The margin
+    a = 1 - c' Qinv c and Qinv c do not depend on the point, so they are
+    built once."""
+
+    def __init__(self, kind, Qinv, c):
+        # the margin the gauge divides by decides in closed form that the
+        # origin is strictly interior: c.c < r^2 for a ball, c' Q^-1 c < 1
+        # for an ellipsoid.  A non-finite center raises too.
+        if c.shape != (len(Qinv),) or not np.isfinite(c).all():
+            raise ValueError(
+                f"{kind}: center must be a finite {len(Qinv)}-vector")
+        a = 1.0 - c @ Qinv @ c
+        if not a > 0.0:
+            raise ValueError(f"{kind}: origin must be strictly interior "
+                             f"(1 - c' Q^-1 c = {a:.3e})")
+        self.Qinv, self.c, self.a, self.Qc = Qinv, c, a, Qinv @ c
+
+    def gauge(self, pts, rowwise=False):
+        """Exact gauges of the rows of pts.
+
+        BLAS rounds a row of a stacked matrix-vector product differently
+        from the row alone.  ``rowwise`` takes each row's products on their
+        own, as a one-row call takes them, so every row's gauge is its
+        one-row value; a single row's products are already its own.
+        """
+        a = self.a
+        if rowwise and len(pts) > 1:
+            r = pts[:, None, :]
+            b, pQ = np.matmul(r, self.Qc)[:, 0], np.matmul(r, self.Qinv)[:, 0]
+        else:
+            b, pQ = pts @ self.Qc, pts @ self.Qinv
+        q = np.einsum("ij,ij->i", pQ, pts)
+        # (-b + sqrt(b * b + a * q)) / a, in place: products and sums
+        # commute and -b + s is s - b, so every rounding is the plain
+        # expression's
+        q *= a
+        g = b * b
+        g += q
+        np.sqrt(g, out=g)
+        g -= b
+        g /= a
+        return g
+
+    def argmax(self, pts):
+        """Gauges of the rows of pts and the outward normals Qinv (y - c)
+        at y = p / gauge, each row's products taken on its own."""
+        g = self.gauge(pts, rowwise=True)
+        n = np.matmul(self.Qinv, (pts / g[:, None] - self.c)[:, :, None])
+        return g, _unit_rows(n[:, :, 0])
 
 
-def _offset_quadric_gauge(pts, Qinv, center):
-    """Exact gauge of {y : (y-c)' Qinv (y-c) <= 1} about the origin."""
-    c = center
-    a = _origin_margin(Qinv, c)
-    if a <= 0:
-        raise ValueError("origin is not interior to the body")
-    Qc = Qinv @ c
-    b = pts @ Qc
-    q = np.einsum("ij,ij->i", pts @ Qinv, pts)
-    # (-b + sqrt(b * b + a * q)) / a, in place: products and sums commute
-    # and -b + s is s - b, so every rounding is the plain expression's
-    q *= a
-    g = b * b
-    g += q
-    np.sqrt(g, out=g)
-    g -= b
-    g /= a
-    return g
-
-
-def _offset_quadric_argmax(v, Qinv, center):
-    """Gauge of v and the outward normal Qinv (y - c) at y = v / gauge."""
-    v = np.asarray(v, dtype=float)
-    g = float(_offset_quadric_gauge(v[None, :], Qinv, center)[0])
-    n = Qinv @ (v / g - center)
-    return g, n / np.linalg.norm(n)
+def _unit_rows(n):
+    """The rows of n over their lengths, each length the norm of the row
+    alone: a stacked matrix product of each row with itself is one BLAS
+    dot product per row, as ``np.linalg.norm`` of the row takes it."""
+    return n / np.sqrt(np.matmul(n[:, None, :], n[:, :, None]))[:, 0]
 
 
 class Ellipsoid(_ClosedGauge):
@@ -966,7 +1010,7 @@ class Ellipsoid(_ClosedGauge):
         self._Q_upper = tuple(rows[i][j] for i in range(dim)
                               for j in range(i, dim))
         self.center = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
-        _check_origin_interior(self.kind, self.Qinv, self.center)
+        self._quadric = _OffsetQuadric(self.kind, self.Qinv, self.center)
 
     @classmethod
     def from_semiaxes(cls, *axes, center=None):
@@ -974,7 +1018,7 @@ class Ellipsoid(_ClosedGauge):
 
     def _support_impl(self, V):
         s = np.sqrt(np.einsum("ij,ij->i", V @ self.Q, V))
-        return s + V @ self.center
+        return _plus_row_dots(s, V, self.center)
 
     def _gradient_impl(self, V):
         QV = V @ self.Q
@@ -1014,10 +1058,10 @@ class Ellipsoid(_ClosedGauge):
                 (r22 * s2 - p2 * p2) / s3)
 
     def _closed_gauge(self, pts):
-        return _offset_quadric_gauge(pts, self.Qinv, self.center)
+        return self._quadric.gauge(pts)
 
-    def gauge_argmax(self, v):
-        return _offset_quadric_argmax(v, self.Qinv, self.center)
+    def gauge_argmax_many(self, pts):
+        return self._quadric.argmax(_point_rows(pts))
 
 
 class _Theta2DBody(ConvexBody):
@@ -1175,10 +1219,10 @@ class Superellipse2D(_ClosedGauge):
         return (np.abs(pts[:, 0]) ** self.p +
                 np.abs(pts[:, 1]) ** self.p) ** (1.0 / self.p)
 
-    def gauge_argmax(self, v):
-        v = np.asarray(v, dtype=float)
-        n = np.sign(v) * np.abs(v) ** (self.p - 1.0)
-        return float(self.gauge_many(v)[0]), n / np.linalg.norm(n)
+    def gauge_argmax_many(self, pts):
+        pts = _point_rows(pts)
+        n = np.sign(pts) * np.abs(pts) ** (self.p - 1.0)
+        return self._closed_gauge(pts), _unit_rows(n)
 
 
 class ReuleauxTriangle2D(_ClosedGauge, _Theta2DBody):
@@ -1204,7 +1248,9 @@ class ReuleauxTriangle2D(_ClosedGauge, _Theta2DBody):
                                        np.pi / 2.0 + 2.0 * np.pi / 3.0,
                                        np.pi / 2.0 + 4.0 * np.pi / 3.0])
         self.vertices = rho * _unit_circle(self.vertex_angles)
-        self._Qinv = np.eye(2) / width ** 2
+        Qinv = np.eye(2) / width ** 2
+        self._disks = [_OffsetQuadric(self.kind, Qinv, v)
+                       for v in self.vertices]
 
     def _sector(self, t):
         """Index of the governing vertex and whether t is in its arc sector."""
@@ -1244,19 +1290,23 @@ class ReuleauxTriangle2D(_ClosedGauge, _Theta2DBody):
         # radius of curvature h + h'' is w on arcs, 0 at vertex sectors
         return d2
 
-    def _disk_gauges(self, pts):
+    def _disk_gauges(self, pts, rowwise=False):
         """Gauges of the rows of pts in each of the three disks."""
-        return [_offset_quadric_gauge(pts, self._Qinv, v) for v in self.vertices]
+        return [disk.gauge(pts, rowwise) for disk in self._disks]
 
     def _closed_gauge(self, pts):
         # gauge of an intersection is the max of the member gauges
         return np.max(self._disk_gauges(pts), axis=0)
 
-    def gauge_argmax(self, v):
-        # the disk with the largest gauge sets it, and its normal at v / g
-        v = np.asarray(v, dtype=float)
-        i = int(np.argmax(self._disk_gauges(v[None, :])))
-        return _offset_quadric_argmax(v, self._Qinv, self.vertices[i])
+    def gauge_argmax_many(self, pts):
+        # the disk with the largest gauge sets it, and its normal at p / g
+        pts = _point_rows(pts)
+        disk = np.argmax(self._disk_gauges(pts, rowwise=True), axis=0)
+        g, n = np.empty(len(pts)), np.empty(pts.shape)
+        for i, quadric in enumerate(self._disks):
+            rows = np.flatnonzero(disk == i)
+            g[rows], n[rows] = quadric.argmax(pts[rows])
+        return g, n
 
 
 # ---------------------------------------------------------------------------
@@ -1335,8 +1385,8 @@ class Dilate(ConvexBody):
             return None
         return super()._sweep_sandwich()
 
-    def gauge_argmax(self, v):
-        g, u = self.body.gauge_argmax(np.asarray(v, dtype=float) / self.factor)
+    def gauge_argmax_many(self, pts):
+        g, u = self.body.gauge_argmax_many(_point_rows(pts) / self.factor)
         return g, self._sign * u
 
 
@@ -1360,7 +1410,7 @@ class Translate(ConvexBody):
         self.vector = v
 
     def _support_impl(self, V):
-        return self.body.support_hom(V) + V @ self.vector
+        return _plus_row_dots(self.body.support_hom(V), V, self.vector)
 
     def _gradient_impl(self, V):
         return self.body.gradient_hom(V) + self.vector

@@ -213,18 +213,11 @@ def run_report(spec, cfg, state, overrides):
     m = spec.get_int("points", 16)
     dirs = xdir[None, :] if xdir is not None else sphere_directions(G.dim, m)
     rows = []
-    for i, u in enumerate(dirs):
-        x = boundary_points(G, u[None, :])[0]
-        try:
-            # touch_point's own gauge of xbar - x and K's normal there; the
-            # normal of G at x is -ubar
-            _, ubar, g, nu_k = analysis._touch(G, K, x)
-            rows.append(("touch_gauge", spec.get("body"), i, abs(g - 1.0),
-                         "pass" if abs(g - 1.0) < 1e-6 else "fail"))
-            mis = float(np.linalg.norm(nu_k - ubar))
-            rows.append(("touch_normal", spec.get("body"), i, mis,
-                         "pass" if mis < 1e-4 else "fail"))
-        except NonUniqueContact:
+    # every point's touch gauge and K's normal at xbar - x from one stacked
+    # search of K; the normal of G at x is -ubar
+    touches = analysis.touch_points(G, K, boundary_points(G, dirs))
+    for i, touch in enumerate(touches):
+        if isinstance(touch, NonUniqueContact):
             rows.append(("touch_contact", spec.get("body"), i, float("nan"),
                          "non_unique_contact"))
             state.record(spec.name, "touch_point", spec.get("body"),
@@ -232,6 +225,12 @@ def run_report(spec, cfg, state, overrides):
             if "non_unique_contact" not in expected:
                 state.undeclared_failure = True
             continue
+        _, ubar, g, nu_k = touch
+        rows.append(("touch_gauge", spec.get("body"), i, abs(g - 1.0),
+                     "pass" if abs(g - 1.0) < 1e-6 else "fail"))
+        mis = float(np.linalg.norm(nu_k - ubar))
+        rows.append(("touch_normal", spec.get("body"), i, mis,
+                     "pass" if mis < 1e-4 else "fail"))
     if xdir is None:
         hv = analysis.halfvolume_condition_check(
             G, K, m=spec.get_int("halfvolume_points", 8), n=n,

@@ -19,7 +19,6 @@ of K's membership test each.
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -83,10 +82,14 @@ def _workers():
 
 
 def _replicate_map(fn, replicates):
-    """Run replicate jobs, preserving index order for bit-stable reduction."""
+    """Run replicate jobs, preserving index order for bit-stable reduction.
+    The thread pool is imported only for more than one worker: importing
+    ``concurrent.futures`` loads ``logging`` too, which one worker never
+    needs."""
     w = _workers()
     if w == 1:
         return [fn(i) for i in range(replicates)]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=w) as pool:
         return list(pool.map(fn, range(replicates)))
 

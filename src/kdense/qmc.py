@@ -221,6 +221,9 @@ class Sobol:
 
     def random_base2(self, m):
         """The next 2**m points; the total drawn must stay a power of 2."""
+        if not isinstance(m, (int, np.integer)) or m < 0:
+            raise ValueError(f"the base-2 exponent must be a non-negative "
+                             f"integer, not {m!r}")
         total = self.num_generated + 2 ** m
         if total & (total - 1):
             raise ValueError("random_base2 keeps the number of points drawn "

@@ -11,7 +11,8 @@ from kdense.analysis import (SpreadReport, _harmonic_compose,
                              curvature_symmetry_check,
                              halfvolume_condition_check, k_equals_2g_check,
                              kdense_spread, kp1_check, krantz_parks_check,
-                             petty_check, symmetry_center, touch_point)
+                             petty_check, symmetry_center, touch_point,
+                             touch_points)
 from kdense.bodies import (GAUGE_GRID_2D, GAUGE_GRID_3D, Ball, Ellipsoid,
                            FourierBody2D, ReuleauxTriangle2D,
                            Superellipse2D, boundary_points, curvature,
@@ -136,6 +137,72 @@ class TestTouchPoint:
         assert np.array_equal(
             f, (G.support_hom(U) - U @ X[1]) / K.support_hom(U))
 
+
+
+def _same_contact(row, x, G, K, samples=None):
+    """Whether a stacked row equals touch_point at x, and K's gauge and
+    normal at xbar - x, bit for bit; or raises what touch_point raises."""
+    if isinstance(row, NonUniqueContact):
+        with pytest.raises(NonUniqueContact) as exc:
+            touch_point(G, K, x, samples=samples)
+        return (str(row) == str(exc.value) and np.array_equal(
+            row.contact_points, exc.value.contact_points))
+    xbar, u = touch_point(G, K, x, samples=samples)
+    g, nu = K.gauge_argmax(xbar - x)
+    return (np.array_equal(row[0], xbar) and np.array_equal(row[1], u)
+            and row[2] == g and np.array_equal(row[3], nu))
+
+
+class TestTouchPoints:
+    """touch_points stacks touch_point's normal and gauge searches over
+    the rows of X; every row is the one-row call's, bit for bit."""
+
+    @pytest.mark.parametrize("G, samples", [
+        (Ball(1.0), None),
+        (Ball(1.0, center=[0.3, 0.0]), None),
+        (Ellipsoid.from_semiaxes(2.0, 1.0), None),
+        (Superellipse2D(4.0), None),
+        (FourierBody2D([1.0, 0.0, 0.0, 0.1]), None),
+        (Ellipsoid.from_semiaxes(1.5, 1.0, 0.8), 1024),
+    ], ids=["disk", "off-centre disk", "ellipse", "superellipse", "fourier",
+            "ellipsoid"])
+    def test_rows_equal_touch_point(self, G, samples):
+        K = difference_body(G)
+        X = boundary_points(G, sphere_directions(G.dim, 16))
+        rows = touch_points(G, K, X, samples=samples)
+        assert len(rows) == len(X)
+        for row, x in zip(rows, X):
+            assert not isinstance(row, NonUniqueContact)
+            assert _same_contact(row, x, G, K, samples)
+            assert row[2] == pytest.approx(1.0, abs=1e-6)
+
+    def test_vertex_rows_mixed_with_unique_rows(self):
+        # the vertex row carries the NonUniqueContact touch_point raises;
+        # the arc rows around it are unique and unchanged by it
+        G = ReuleauxTriangle2D(1.0)
+        K = difference_body(G)
+        arc = boundary_points(G, np.array(
+            [[0.0, -1.0], [math.sin(0.3), -math.cos(0.3)]]))
+        X = np.vstack([arc[:1], G.vertices[:1], arc[1:]])
+        rows = touch_points(G, K, X)
+        assert [isinstance(r, NonUniqueContact) for r in rows] == \
+            [False, True, False]
+        assert "angular diameter" in str(rows[1])
+        for row, x in zip(rows, X):
+            assert _same_contact(row, x, G, K)
+
+    def test_one_k_search_for_all_rows(self, monkeypatch):
+        G = Ellipsoid.from_semiaxes(2.0, 1.0)
+        K = difference_body(G)
+        rows = []
+
+        def counting(pts, _orig=K._gauge_exact):
+            rows.append(len(pts))
+            return _orig(pts)
+
+        monkeypatch.setattr(K, "_gauge_exact", counting)
+        touch_points(G, K, boundary_points(G, sphere_directions(2, 5)))
+        assert rows == [5]
 
 class TestKdenseSpread:
     def test_ellipse_constant(self):

@@ -1125,6 +1125,72 @@ class TestGauge:
                 assert g == g_ref and np.array_equal(n, -n_ref)
 
 
+
+def _argmax_zoo():
+    """The gauge zoo plus offsets with two or three nonzero components: an
+    off-centre general ellipse, an off-centre 3D ball and a 3D sum of
+    off-centre bodies."""
+    return _gauge_zoo() + [
+        Ellipsoid(np.array([[3.0, 1.2], [1.2, 1.5]]), center=[0.3, -0.2]),
+        Ball(1.3, center=[0.1, -0.2, 0.05]),
+        MinkowskiSum(Ball(0.7, center=[0.2, -0.1, 0.15]),
+                     Translate(Ellipsoid.from_semiaxes(1.5, 1.0, 0.8),
+                               [0.1, 0.05, -0.2])),
+    ]
+
+
+ARGMAX_ZOO = _argmax_zoo()
+ARGMAX_IDS = [f"{i}-{body.kind}-{body.dim}d"
+              for i, body in enumerate(ARGMAX_ZOO)]
+
+
+class TestGaugeArgmaxMany:
+    """``gauge_argmax_many`` is each kind's one gauge-and-normal primitive:
+    ``gauge_argmax(v)`` is its row 0, and every stacked row equals the row
+    alone bit for bit, so a stacked touch search changes no value."""
+
+    @staticmethod
+    def _rows(dim):
+        # points inside, outside and near the boundary, at several scales
+        rng = np.random.default_rng(41)
+        return rng.normal(size=(12, dim)) * rng.uniform(0.3, 3.0, (12, 1))
+
+    @pytest.mark.parametrize("body", ARGMAX_ZOO, ids=ARGMAX_IDS)
+    def test_single_is_row_zero(self, body):
+        for v in self._rows(body.dim)[:4]:
+            g, u = body.gauge_argmax(v)
+            G, U = body.gauge_argmax_many(v[None, :])
+            assert isinstance(g, float)
+            assert g == G[0] and np.array_equal(u, U[0])
+
+    @pytest.mark.parametrize("body", ARGMAX_ZOO, ids=ARGMAX_IDS)
+    def test_rows_equal_one_row_calls(self, body):
+        P = self._rows(body.dim)
+        G, U = body.gauge_argmax_many(P)
+        assert G.shape == (len(P),) and U.shape == P.shape
+        for p, g, u in zip(P, G, U):
+            g1, u1 = body.gauge_argmax(p)
+            assert g == g1 and np.array_equal(u, u1)
+            # and the answer is the gauge with the outward normal at p / g
+            assert g == pytest.approx(body.gauge_many(p)[0], rel=1e-12)
+            assert (p / g) @ u == pytest.approx(body.support(u), rel=1e-9)
+
+    @pytest.mark.parametrize("body", [
+        Ball(0.7, center=[0.2, -0.1]), ARGMAX_ZOO[-3], ARGMAX_ZOO[-2],
+        Translate(FourierBody2D([1.0, 0.0, 0.0, 0.1]), [0.1, 0.2]),
+    ], ids=["ball", "ellipse", "ball 3d", "translate"])
+    def test_offset_support_rows_are_their_own(self, body):
+        # <v, c> of an off-centre body is summed per row: a BLAS
+        # matrix-vector product rounded some rows by their place in the
+        # stack, so a generic search over many rows could differ from the
+        # same rows searched alone
+        V = np.random.default_rng(43).normal(size=(64, body.dim))
+        H = body.support_hom(V)
+        assert all(H[i] == body.support_hom(V[i:i + 1])[0]
+                   for i in range(len(V)))
+        assert np.allclose(H, [body.support(v / np.linalg.norm(v)) *
+                               np.linalg.norm(v) for v in V], rtol=1e-14)
+
 class TestContains:
     """contains bounds every row and refines the open rows in one search;
     each row's verdict is its own, which the copy sweep's batches rely on."""

@@ -209,10 +209,12 @@ class TestVerify:
 
 
 class TestReport:
-    def test_one_k_search_per_touch_point(self, tmp_path, monkeypatch):
+    def test_one_k_search_for_every_touch_point(self, tmp_path,
+                                                monkeypatch):
         # K's normal at xbar - x comes from the gauge search that checks
-        # the touch point: on the shipped ellipse, one sphere search of
-        # K = G - G per point, and the closed-form G searches nothing
+        # the touch point: on the shipped ellipse, one stacked sphere search
+        # of K = G - G for all 16 points, and the closed-form G searches
+        # nothing
         calls = []
 
         def spy(body, pts, _orig=ConvexBody._gauge_exact):
@@ -224,7 +226,7 @@ class TestReport:
         assert run(cfg, kinds=("report",), out_dir=str(tmp_path)) == 0
         spec, = (s for s in cfg.experiment_specs if s.kind == "report")
         assert spec.get("body") == "ellipse"
-        assert calls == [("minkowski_sum", 1)] * spec.get_int("points", 16)
+        assert calls == [("minkowski_sum", spec.get_int("points", 16))]
 
 
 class TestExitCodes:

@@ -210,6 +210,15 @@ class TestSobol:
             assert ours.num_generated == 8
             assert np.array_equal(ours.random(4), ref.random(4))
 
+    @pytest.mark.parametrize("m", [-1, 1.5])
+    def test_bad_base2_exponent_rejected(self, m):
+        eng = qmc.Sobol(d=2, entropy=(0, 0))
+        with pytest.raises(ValueError, match="exponent"):
+            eng.random_base2(m)
+        # the engine is left as it was
+        assert eng.num_generated == 0
+        assert eng.random_base2(2).shape == (4, 2)
+
     def test_cached_points_are_read_only(self):
         pts = _sobol(2, 2 ** 10, 0, 0)
         assert _sobol(2, 2 ** 10, 0, 0) is pts
@@ -261,7 +270,8 @@ class TestSobol:
 
     def test_import_does_not_load_scipy_stats(self, tmp_path):
         # scipy and numpy's random module are test oracles only: neither is
-        # loaded by the import, a QMC volume or a whole verify run
+        # loaded by the import, a QMC volume or a whole verify run; nor is
+        # the thread pool's concurrent.futures, with one worker
         src = os.path.dirname(os.path.dirname(kdense.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         env.pop("KDENSE_WORKERS", None)
@@ -272,7 +282,8 @@ class TestSobol:
             from kdense.bodies import Ball
             from kdense.measure import volume_qmc
             def loaded():
-                return [m for m in ("scipy", "numpy.random")
+                return [m for m in ("scipy", "numpy.random",
+                                    "concurrent.futures")
                         if m in sys.modules]
             seen = [loaded()]
             volume_qmc(Ball(1.0), n=2 ** 10, replicates=2, seed=0)
@@ -692,7 +703,7 @@ class TestInPlaceTemporaries:
             b = pts @ (Qinv @ c)
             q = np.einsum("ij,ij->i", pts @ Qinv, pts)
             want = (-b + np.sqrt(b * b + a * q)) / a
-            got = bodies._offset_quadric_gauge(pts, Qinv, c)
+            got = bodies._OffsetQuadric("ellipsoid", Qinv, c).gauge(pts)
             assert np.array_equal(got, want)
 
 

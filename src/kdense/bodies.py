@@ -29,7 +29,7 @@ over all rows, the closed gauges (balls, ellipsoids, superellipses,
 Reuleaux triangles) in closed form, and a dilate by its body's.  Its rows
 do not depend on each other, bit for bit: BLAS rounds a row of a stacked
 matrix-vector product by its place in the stack, so those products are
-taken row by row (``_OffsetQuadric``, ``_unit_rows``) and support offsets
+taken row by row (``_OffsetQuadric.argmax``, ``_unit_rows``) and offsets
 <v, c> are summed column by column (``_plus_row_dots``).  ``gauge_many``
 is exact; membership is the bounded path.  A 2D point is first compared
 with an ellipse sandwich certified by the inner polygon of the grid chords
@@ -939,36 +939,27 @@ class _OffsetQuadric:
                              f"(1 - c' Q^-1 c = {a:.3e})")
         self.Qinv, self.c, self.a, self.Qc = Qinv, c, a, Qinv @ c
 
-    def gauge(self, pts, rowwise=False):
-        """Exact gauges of the rows of pts.
-
-        BLAS rounds a row of a stacked matrix-vector product differently
-        from the row alone.  ``rowwise`` takes each row's products on their
-        own, as a one-row call takes them, so every row's gauge is its
-        one-row value; a single row's products are already its own.
-        """
+    def gauge(self, pts):
+        """Exact gauges of the rows of pts, each its one-row value: the
+        stacked pts @ Qinv rounds a row as the row alone, and p.Qinv c is
+        summed column by column (``_plus_row_dots``)."""
         a = self.a
-        if rowwise and len(pts) > 1:
-            r = pts[:, None, :]
-            b, pQ = np.matmul(r, self.Qc)[:, 0], np.matmul(r, self.Qinv)[:, 0]
-        else:
-            b, pQ = pts @ self.Qc, pts @ self.Qinv
-        q = np.einsum("ij,ij->i", pQ, pts)
+        b = _plus_row_dots(0.0, pts, self.Qc)
+        q = np.einsum("ij,ij->i", pts @ self.Qinv, pts)
         # (-b + sqrt(b * b + a * q)) / a, in place: products and sums
         # commute and -b + s is s - b, so every rounding is the plain
         # expression's
         q *= a
-        g = b * b
-        g += q
-        np.sqrt(g, out=g)
-        g -= b
-        g /= a
-        return g
+        q += b * b
+        np.sqrt(q, out=q)
+        q -= b
+        q /= a
+        return q
 
     def argmax(self, pts):
         """Gauges of the rows of pts and the outward normals Qinv (y - c)
         at y = p / gauge, each row's products taken on its own."""
-        g = self.gauge(pts, rowwise=True)
+        g = self.gauge(pts)
         n = np.matmul(self.Qinv, (pts / g[:, None] - self.c)[:, :, None])
         return g, _unit_rows(n[:, :, 0])
 
@@ -1290,9 +1281,9 @@ class ReuleauxTriangle2D(_ClosedGauge, _Theta2DBody):
         # radius of curvature h + h'' is w on arcs, 0 at vertex sectors
         return d2
 
-    def _disk_gauges(self, pts, rowwise=False):
+    def _disk_gauges(self, pts):
         """Gauges of the rows of pts in each of the three disks."""
-        return [disk.gauge(pts, rowwise) for disk in self._disks]
+        return [disk.gauge(pts) for disk in self._disks]
 
     def _closed_gauge(self, pts):
         # gauge of an intersection is the max of the member gauges
@@ -1301,7 +1292,7 @@ class ReuleauxTriangle2D(_ClosedGauge, _Theta2DBody):
     def gauge_argmax_many(self, pts):
         # the disk with the largest gauge sets it, and its normal at p / g
         pts = _point_rows(pts)
-        disk = np.argmax(self._disk_gauges(pts, rowwise=True), axis=0)
+        disk = np.argmax(self._disk_gauges(pts), axis=0)
         g, n = np.empty(len(pts)), np.empty(pts.shape)
         for i, quadric in enumerate(self._disks):
             rows = np.flatnonzero(disk == i)

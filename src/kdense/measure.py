@@ -5,15 +5,14 @@ support integral (1/N) * integral of h * det R over the unit sphere, and
 quasi-Monte Carlo membership counting in a support-derived bounding box,
 with independently scrambled replicates for the error bar.  The points are
 scrambled Sobol' points (LMS + digital shift, d <= 3) from ``kdense.qmc``,
-equal bit for bit to scipy's ``qmc.Sobol(d, scramble=True)`` for numpy's
-Generator ``default_rng([seed, replicate])``.  The engine computes that
-Generator's bits itself, so a pass imports neither scipy nor numpy's
-random module.  Each QMC route is one pass, ``_qmc_pass``, that tests a
-body's membership once per replicate and counts columns on the points
-inside; a sweep over copies x + rK sharing one G counts each copy on the
-points inside G.  In 2D K's ellipse sandwich decides most of a copy's
-points in G's frame; the rest of successive copies go to one bounded batch
-of K's membership test each.
+whose scramble bits SplitMix64 draws from the entropy ``(seed,
+replicate)``, so a pass imports neither scipy nor numpy's random module.
+Each QMC route is one pass, ``_qmc_pass``, that tests a body's membership
+once per replicate and counts columns on the points inside; a sweep over
+copies x + rK sharing one G counts each copy on the points inside G.  In
+2D K's ellipse sandwich decides most of a copy's points in G's frame; the
+rest of successive copies go to one bounded batch of K's membership test
+each.
 """
 
 import math
@@ -109,9 +108,7 @@ def _sobol(dim, n, seed, replicate):
     hit = _SOBOL_CACHE.get(key)
     if hit is not None:
         return hit
-    eng = qmc.Sobol(d=dim, entropy=(seed, replicate))
-    m = int(np.log2(n))
-    pts = eng.random_base2(m) if 2 ** m == n else eng.random(n)
+    pts = qmc.Sobol(d=dim, entropy=(seed, replicate)).random(n)
     pts.flags.writeable = False
     with _SOBOL_LOCK:
         # another thread may have stored the same stream meanwhile

@@ -1,18 +1,16 @@
 """Scrambled Sobol' points in up to three dimensions.
 
-``Sobol(d, entropy)`` draws the same points as scipy's
-``scipy.stats.qmc.Sobol(d, scramble=True, seed=rng)`` for numpy's
-Generator ``rng = default_rng(entropy)``, bit for bit: Joe and Kuo's
-direction numbers at 30 bits, a left linear matrix scramble of each of
-them and a digital random shift (LMS + shift; Owen, "Scrambling Sobol' and
-Niederreiter-Xing points", 1998).  Points are generated in Gray-code order.
+``Sobol(d, entropy)`` draws Joe and Kuo's Sobol' points at 30 bits with a
+left linear matrix scramble of each direction number and a digital random
+shift (LMS + shift; Owen, "Scrambling Sobol' and Niederreiter-Xing
+points", 1998), in Gray-code order.  The bits of the scramble are drawn in
+scipy's order, the shift (d, 30) then the matrices (d, 30, 30), so scipy's
+``qmc.Sobol`` given the same bits draws the same points.
 
-The random bits are the ones scipy draws from that Generator, computed
-here without numpy's random module: the child ``SeedSequence`` scipy
-spawns, the PCG64 generator it seeds (XSL-RR 128/64; O'Neill, "PCG: a
-family of simple fast space-efficient statistically good algorithms for
-random number generation", 2014), and numpy's bounded draw of a 0 or 1,
-which is the top bit of each 32-bit half of an output.
+The bits come from SplitMix64 (Steele, Lea and Flood, "Fast splittable
+pseudorandom number generators", OOPSLA 2014), seeded by folding the
+entropy's 64-bit words through its mix: one engine needs at most 44
+outputs, one vectorized uint64 expression.
 """
 
 import functools
@@ -28,117 +26,42 @@ MAXDIM = len(POLYNOMIALS)
 # random bits per dimension: the digital shift, then the LMS matrix
 DRAWS = BITS + BITS * BITS
 
-MASK32 = (1 << 32) - 1
-MASK128 = (1 << 128) - 1
-# numpy's SeedSequence: pool size and hashmix / mix constants
-POOL = 4
-INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
-INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
-MIX_L, MIX_R = 0xCA01F9DD, 0x4973F715
-# PCG64's 128-bit LCG multiplier
-PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+MASK64 = (1 << 64) - 1
+# SplitMix64's increment (the golden ratio's 64 fractional bits) and mix
+GAMMA = 0x9E3779B97F4A7C15
+MIX_A, MIX_B = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
-def _entropy_words(entropy):
-    """Non-negative ints as 32-bit words, each least significant first."""
-    words = []
+def _mix(z):
+    """SplitMix64's output function on a uint64 array."""
+    z = (z ^ z >> 30) * MIX_A
+    z = (z ^ z >> 27) * MIX_B
+    return z ^ z >> 31
+
+
+def _splitmix(state, n):
+    """The first n outputs of SplitMix64 from state, as uint64: output k
+    is mix(state + k GAMMA), k = 1, ..., n."""
+    k = np.arange(1, n + 1, dtype=np.uint64)
+    return _mix(np.uint64(state) + k * GAMMA)
+
+
+def _bits(entropy, n):
+    """n random bits, as 0/1 uint32s, of the entropy: a sequence of
+    non-negative ints.  Each 64-bit word of an int, least significant
+    first, is xor-ed into the next SplitMix64 step of one seed; the bits
+    are those of the outputs from that seed, least significant first."""
+    seed = np.zeros(1, dtype=np.uint64)
     for v in entropy:
         if not isinstance(v, (int, np.integer)) or v < 0:
             raise ValueError(f"entropy must be non-negative integers, "
                              f"not {v!r}")
         v = int(v)
-        words.append(v & MASK32)
-        while v > MASK32:
-            v >>= 32
-            words.append(v & MASK32)
-    return words
-
-
-def _pcg_state(entropy):
-    """PCG64's (state, increment) in ``default_rng(entropy).spawn(1)[0]``."""
-    # the child's spawn key (0,) follows the run entropy, which a spawn key
-    # pads with zeros to the pool size
-    words = _entropy_words(entropy)
-    words += [0] * (POOL - len(words)) + [0]
-    h = INIT_A
-
-    def hashmix(value):
-        nonlocal h
-        value ^= h
-        h = h * MULT_A & MASK32
-        value = value * h & MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        value = (MIX_L * x - MIX_R * y) & MASK32
-        return value ^ value >> 16
-
-    pool = [hashmix(w) for w in words[:POOL]]
-    for src in range(POOL):
-        for dst in range(POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[POOL:]:
-        for dst in range(POOL):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    # generate_state(4, uint64): 8 words, read as little-endian uint64s
-    h, state = INIT_B, 0
-    for i in range(8):
-        value = pool[i % POOL] ^ h
-        h = h * MULT_B & MASK32
-        value = value * h & MASK32
-        state |= (value ^ value >> 16) << 32 * i
-    u = [(state >> 64 * i) & ((1 << 64) - 1) for i in range(4)]
-    seed, inc = u[0] << 64 | u[1], (u[2] << 65 | u[3] << 1 | 1) & MASK128
-    # numpy's seeding: from state 0, step, add the seed, step
-    return ((inc + seed) * PCG_MULT + inc) & MASK128, inc
-
-
-@functools.cache
-def _jumps():
-    """(16, n) float: the 16-bit limbs of A_k (rows 0-7) and B_k (rows
-    8-15), where k LCG steps take state s to A_k s + B_k inc, for the
-    n = MAXDIM * DRAWS / 2 outputs the largest engine uses."""
-    n = MAXDIM * DRAWS // 2
-    a, b, out = 1, 0, []
-    for _ in range(n):
-        a, b = a * PCG_MULT & MASK128, (b * PCG_MULT + 1) & MASK128
-        out.append(a.to_bytes(16, "little") + b.to_bytes(16, "little"))
-    limbs = np.frombuffer(b"".join(out), "<u2").reshape(n, 16).T.astype(float)
-    limbs.flags.writeable = False
-    return limbs
-
-
-def _shifted_words(x):
-    """(8, 4) float: row i holds the 32-bit words of x 2^(16 i) mod 2^128."""
-    raw = b"".join(((x << 16 * i) & MASK128).to_bytes(16, "little")
-                   for i in range(8))
-    return np.frombuffer(raw, "<u4").reshape(8, 4).astype(float)
-
-
-def _bits(entropy, n):
-    """The first n draws of ``integers(0, 2, dtype=np.uint32)`` from
-    ``default_rng(entropy).spawn(1)[0]``.
-
-    Each PCG64 output is two draws, its low 32-bit half first; Lemire's
-    bounded draw for range 2 rejects nothing and returns the half's top
-    bit.  All states A_k s + B_k inc come from one product of their 16-bit
-    limbs with the 32-bit words of the shifted s and inc: every sum stays
-    below 16 * 2^48, so float64 holds it exactly.
-    """
-    state, inc = _pcg_state(entropy)
-    outputs = (n + 1) // 2
-    coef = np.vstack([_shifted_words(state), _shifted_words(inc)])
-    words = (coef.T @ _jumps()[:, :outputs]).astype(np.uint64)
-    # carry each word's excess over 32 bits up; the cast to 32 bits then
-    # drops it, and the top word's excess is the part past 2^128
-    for i in range(3):
-        words[i + 1] += words[i] >> 32
-    lo, hi = np.ascontiguousarray(words.T, dtype="<u4").view("<u8").T
-    # XSL-RR: hi ^ lo rotated right by the top 6 bits of the state
-    x, rot = hi ^ lo, hi >> 58
-    out = (x >> rot | x << (-rot & 63)).astype("<u8", copy=False)
-    return (out.view("<u4")[:n] >> 31).astype(np.uint32)
+        for shift in range(0, max(v.bit_length(), 1), 64):
+            seed = _mix((seed + GAMMA) ^ (v >> shift & MASK64))
+    words = _splitmix(seed[0], -(-n // 64)).astype("<u8", copy=False)
+    return np.unpackbits(words.view(np.uint8), bitorder="little")[:n].astype(
+        np.uint32)
 
 
 def _direction_numbers(d):
@@ -181,9 +104,9 @@ def _scramble(ltm):
 class Sobol:
     """Engine for scrambled Sobol' points in [0, 1)^d, d <= 3.
 
-    ``entropy`` is a sequence of non-negative ints; the points are scipy's
-    for numpy's Generator ``default_rng(entropy)``.  ``random`` and
-    ``random_base2`` continue the sequence from the points drawn so far.
+    ``entropy`` is a sequence of non-negative ints that seeds the scramble
+    bits.  ``random`` and ``random_base2`` continue the sequence from the
+    points drawn so far.
     """
 
     def __init__(self, d, entropy):

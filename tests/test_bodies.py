@@ -1086,6 +1086,17 @@ class TestGauge:
             want = Ellipsoid(4.0 * G.Q).gauge_many(P)
             got = difference_body(G).gauge_many(P)
             assert np.abs(got / want - 1.0).max() <= 1e-12, axes
+        # the difference body of a centrally symmetric S is 2S, also where
+        # the boundary is flat to high order about the axis normals: the
+        # converged gauges and normals are the closed forms of S at p / 2
+        for p in (4.0, 8.0):
+            S, P = Superellipse2D(p), rng.normal(size=(2000, 2)) * 2.0
+            K = difference_body(S)
+            got, want = K.gauge_many(P), S.gauge_many(P / 2.0)
+            assert np.abs(got / want - 1.0).max() <= 1e-12, p
+            normals = K.gauge_argmax_many(P)[1]
+            want = S.gauge_argmax_many(P / 2.0)[1]
+            assert np.abs(normals - want).max() <= 1e-10, p
 
     def test_reflection_is_the_body_at_minus_v(self):
         # Dilate(G, -1) multiplies by |s| = 1, which is exact: every value
@@ -1190,6 +1201,28 @@ class TestGaugeArgmaxMany:
                    for i in range(len(V)))
         assert np.allclose(H, [body.support(v / np.linalg.norm(v)) *
                                np.linalg.norm(v) for v in V], rtol=1e-14)
+
+    @pytest.mark.parametrize("body", [
+        Ellipsoid([[3.0, 1.2], [1.2, 1.5]], center=[0.3, -0.2]),
+        Ball(0.7, center=[0.2, -0.1, 0.15]), ReuleauxTriangle2D(1.0),
+    ], ids=["ellipse", "ball 3d", "reuleaux"])
+    def test_offset_quadric_rows_are_their_own(self, body):
+        # p.Qinv c of an off-centre quadric is summed per row: the stacked
+        # matrix-vector product rounded about a tenth of these gauges by
+        # their place in the stack.  Half the rows sit at the membership
+        # threshold, where that rounding flips a verdict.
+        P = np.random.default_rng(44).normal(size=(1000, body.dim))
+        edge = P[::2] / body.gauge_many(P[::2])[:, None]
+        P[::2] = edge * (1.0 + bodies.MEMBERSHIP_TOL)
+        g, inside = body.gauge_many(P), body.contains(P)
+        G, U = body.gauge_argmax_many(P)
+        for i, p in enumerate(P):
+            assert g[i] == body.gauge_many(p)[0]
+            assert inside[i] == body.contains(p)[0]
+            g1, u1 = body.gauge_argmax_many(p[None, :])
+            assert G[i] == g1[0] and np.array_equal(U[i], u1[0])
+        assert 0 < inside[::2].sum() < 500
+
 
 class TestContains:
     """contains bounds every row and refines the open rows in one search;

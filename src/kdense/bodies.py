@@ -38,9 +38,13 @@ the grid cell of its angle, from below by the outer polygon and from above
 by the chord between two boundary points; only the points those bounds
 leave undecided are searched, and the search drops a point as soon as the
 same two bounds, taken at its iterate and at its bracket's ends, decide
-it.  3D refines coarse gauges near 1.  Each point's verdict is its own,
-so a copy sweep tests many copies' points in one call; the sandwich lets
-it decide most points in the sweep's own frame (``_sweep_sandwich``).
+it.  A 2D gauge search starts inside the point's cell, at the monotone
+cubic Hermite interpolant of the normal angle from the cell's ends and
+radii of curvature where the cell passes the Fritsch-Carlson test, and at
+the cell's better grid normal elsewhere (``_gauge_start``).  3D refines
+coarse gauges near 1.  Each point's verdict is its own, so a copy sweep
+tests many copies' points in one call; the sandwich lets it decide most
+points in the sweep's own frame (``_sweep_sandwich``).
 """
 
 import math
@@ -317,12 +321,15 @@ def _chord_gauge(p, A, B):
 def _ascend_2d(K, A, U, n_grid, level=None):
     """Newton steps in the angle, safeguarded by bisection (rtsafe).
 
-    The coarse maximum brackets the true one within one grid cell, since
-    H_A / H_K is unimodal.  The residual has the sign of its angular
-    derivative, so every evaluation shrinks the bracket; a Newton step that
-    leaves the bracket or fails to halve the step before last is replaced by
-    bisection.  That covers singular derivative data: zero curvature radius
-    on Reuleaux vertex sectors, an infinite one on superellipse axes.
+    Each row starts inside the grid cell that holds its maximum, since
+    H_A / H_K is unimodal, so the bracket of one grid spacing on either
+    side of the start holds the maximum: at the cell's better grid normal,
+    or for a gauge at the Hermite start of ``_gauge_start``.  The residual
+    has the sign of its angular derivative, so every evaluation shrinks
+    the bracket; a Newton step that leaves the bracket or fails to halve
+    the step before last is replaced by bisection.  That covers singular
+    derivative data: zero curvature radius on Reuleaux vertex sectors, an
+    infinite one on superellipse axes.
 
     With a ``level`` (point rows only, whose maximum is the gauge) a row
     also stops once certified bounds decide gauge <= level: from below the
@@ -665,9 +672,11 @@ class ConvexBody:
         Returns the polar angles phi of the X_i in increasing order from -pi
         (where several grid normals share a vertex, rounding can make them
         drop by an ulp; they are made non-decreasing), the cells that start
-        at them, the columns that ``_gauge_bracket`` reads per cell i, and
-        the bucket table of ``_gauge_cell``.  The columns, each contiguous,
-        are the x and y of u_i / H(u_i), of u_{i+1} / H(u_{i+1}), and of W_i,
+        at them, the columns that ``_gauge_bracket`` reads per cell i, the
+        bucket table of ``_gauge_cell``, and what ``_gauge_start`` reads:
+        phi with the wrapping cell's ends added on both sides, and the
+        slopes of ``_hermite_slopes``.  The columns, each contiguous, are
+        the x and y of u_i / H(u_i), of u_{i+1} / H(u_{i+1}), and of W_i,
         the outward normal of the chord X_i X_{i+1} over its offset.  A
         vertex cell has zero width and a NaN W_i; the lookup never picks it.
         The same chords and facets certify the ellipse sandwich of
@@ -684,6 +693,10 @@ class ConvexBody:
             order = np.roll(np.arange(len(U)),
                             -1 - np.argmax(phi - np.roll(phi, -1)))
             phi = np.maximum.accumulate(phi[order])
+            # the cell ends' angles, with the wrapping cell's ends on both
+            # sides: cell k runs from ends[k + 1] to ends[k + 2]
+            ends = np.concatenate([phi[-1:] - 2.0 * np.pi, phi,
+                                   phi[:1] + 2.0 * np.pi])
             nrm = np.column_stack([d[:, 1], -d[:, 0]])
             with np.errstate(divide="ignore", invalid="ignore"):
                 W = nrm / np.einsum("ij,ij->i", nrm, X)[:, None]
@@ -697,26 +710,53 @@ class ConvexBody:
             ux, uy = np.ascontiguousarray(Uh.T)
             wx, wy = np.ascontiguousarray(W.T)
             cols = (ux, uy, np.roll(ux, -1), np.roll(uy, -1), wx, wy)
-            self._cell_cache = (phi, order, cols, table)
+            hermite = (ends,) + self._hermite_slopes(U, h, X, order, ends)
+            self._cell_cache = (ends[1:-1], order, cols, table, hermite)
         return self._cell_cache
 
+    def _hermite_slopes(self, U, h, X, order, ends):
+        """Per cell, in angle order, the end slopes of the normal angle
+        theta against the polar angle phi over the cell's secant slope,
+        (alpha, beta), NaN where the cell fails the Fritsch-Carlson test.
+
+        The boundary point X(theta) = h u + h' u_perp moves by rho u_perp,
+        rho = h + h'' the radius of curvature, so dphi/dtheta is
+        rho <X, u> / |X|^2 = rho h / |X|^2.  A cubic Hermite interpolant of
+        theta(phi) with alpha, beta >= 0 and alpha^2 + beta^2 <= 9 is
+        monotone on its cell (Fritsch and Carlson, SIAM J. Numer. Anal. 17,
+        1980); cells at vertices (rho = 0) and at the tips of eccentric
+        bodies fail it, and ``_gauge_start`` keeps the grid normal there.
+        """
+        x, y = np.ascontiguousarray(U.T)
+        (rho,) = self._tangent_block((x, y), ((-y, x),))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            slope = (np.einsum("ij,ij->i", X, X) / (rho * h))[order]
+            # each cell's width in phi over its width in theta
+            width = np.diff(ends[1:]) / _grid_spacing(2, len(U))
+            alpha, beta = slope * width, np.roll(slope, -1) * width
+            ok = (alpha >= 0.0) & (beta >= 0.0) & \
+                (alpha * alpha + beta * beta <= 9.0)
+        alpha[~ok] = beta[~ok] = np.nan
+        return alpha, beta
+
     def _gauge_cell(self, x, y):
-        """2D cell of each point (x, y) with polar angle psi: order[k] for
-        the last k with phi[k] <= psi, the index searchsorted finds.
+        """2D cell of each point (x, y), and its polar angle psi: the last
+        k with phi[k] <= psi, the index searchsorted finds; the cell is
+        order[k].
 
         Angles in earlier buckets are below psi and those in later buckets
         above it, so where psi's bucket holds at most one angle a single
         comparison finds k.  Crowded buckets, at vertices and at the tips
         of eccentric bodies, fall back to searchsorted.  k = -1 (psi below
-        phi[0]) picks the last cell, which wraps past the angle pi.
+        phi[0]) is the last cell, which wraps past the angle pi.
         """
-        phi, order, _, (start, after, crowded) = self._gauge_cells()
+        phi, _, _, (start, after, crowded), _ = self._gauge_cells()
         psi = np.arctan2(y, x)
         b = _angle_bucket(psi, len(start))
         k = start[b] + (after[b] <= psi)
         c = np.flatnonzero(crowded[b])
         k[c] = np.searchsorted(phi, psi[c], side="right") - 1
-        return order[k]
+        return k, psi
 
     def gauge_many(self, pts):
         """Gauge values inf{t > 0 : v in tK} for each row of pts, exact:
@@ -749,9 +789,9 @@ class ConvexBody:
         u_i and u_{i+1}; idx is the grid index of the better one.  Every
         kind's X_i are closed forms, so hi holds to rounding.
         """
-        ux, uy, vx, vy, wx, wy = self._gauge_cells()[2]
+        _, order, (ux, uy, vx, vy, wx, wy), _, _ = self._gauge_cells()
         x, y = pts[:, 0], pts[:, 1]
-        i = self._gauge_cell(x, y)
+        i = order[self._gauge_cell(x, y)[0]]
         gi = x * ux.take(i) + y * uy.take(i)
         gj = x * vx.take(i) + y * vy.take(i)
         idx = i + (gj > gi)
@@ -780,23 +820,50 @@ class ConvexBody:
         return g, idx
 
     def _gauge_refine(self, pts, idx, g0):
-        """Gauges of the rows of pts, refined from their grid bounds g0 at
-        the grid normals idx until they decide membership, and their
+        """Gauges of the rows of pts, refined from their grid bounds g0 with
+        grid normals idx until they decide membership, and their
         directions: ``contains`` refines the rows its bounds leave open, each
         on its own.  3D converges each row.  In 2D a row stops once certified
         bounds decide gauge <= 1 + MEMBERSHIP_TOL, and its value is the
         deciding bound, so ``_inside`` reads the converged verdict."""
-        U, _, _ = self._gauge_grid()
         level = 1.0 + MEMBERSHIP_TOL if self.dim == 2 else None
-        return _support_ratio_search(self, SupportRows(pts), U[idx], g0,
-                                     len(U), level)
+        return _support_ratio_search(self, SupportRows(pts),
+                                     self._gauge_start(pts, idx), g0,
+                                     len(self._gauge_grid()[0]), level)
 
     def _gauge_exact(self, pts):
         """Exact gauges of the rows of pts and their maximizing directions:
         each row is converged from its grid bound."""
         g0, idx, _ = self._gauge_bounds(pts)
-        U, _, _ = self._gauge_grid()
-        return support_ratio_max(self, SupportRows(pts), U[idx], g0, len(U))
+        return support_ratio_max(self, SupportRows(pts),
+                                 self._gauge_start(pts, idx), g0,
+                                 len(self._gauge_grid()[0]))
+
+    def _gauge_start(self, pts, idx):
+        """Where the sphere search for the gauges of the rows of pts starts,
+        given their grid normals idx.
+
+        In 2D a row whose cell passes the Fritsch-Carlson test starts at
+        the Hermite interpolant of theta(phi) at its polar angle psi, from
+        the cell's end angles and slopes (``_hermite_slopes``), where that
+        value lies in the cell: within O(D^4) of the maximizing normal, D
+        the grid spacing.  Every other row, and every 3D row, starts at its
+        grid normal.
+        """
+        U = self._gauge_grid()[0]
+        if self.dim == 3:
+            return U[idx]
+        _, order, _, _, (ends, alpha, beta) = self._gauge_cells()
+        k, psi = self._gauge_cell(pts[:, 0], pts[:, 1])
+        # t in [0, 1] across the cell, and s the interpolant's share of the
+        # cell's normal angles; a rejected cell's NaN slopes, and a NaN
+        # psi, fail the test s in [0, 1] silently
+        a = ends[k + 1]
+        t = (psi - a) / (ends[k + 2] - a)
+        r = 1.0 - t
+        s = t * (t * (3.0 - 2.0 * t) + r * (alpha[k] * r - beta[k] * t))
+        hermite = _unit_circle(_grid_spacing(2, len(U)) * (order[k] + 0.5 + s))
+        return np.where(((s >= 0.0) & (s <= 1.0))[:, None], hermite, U[idx])
 
     def gauge_argmax_many(self, pts):
         """Gauges of the rows of pts and their maximizing directions, the
@@ -1301,7 +1368,8 @@ class ReuleauxTriangle2D(_ClosedGauge, _Theta2DBody):
 
 
 # ---------------------------------------------------------------------------
-# combinators
+# combinators: they evaluate their parts through ``_support_impl`` and
+# ``_gradient_impl``, as V reaches them validated
 
 def _block_sum(A, B):
     """Entries of the tangent block of a Minkowski sum: R_A + R_B."""
@@ -1320,10 +1388,10 @@ class MinkowskiSum(ConvexBody):
         # positivity is inherited: the support functions add
 
     def _support_impl(self, V):
-        return self.left.support_hom(V) + self.right.support_hom(V)
+        return self.left._support_impl(V) + self.right._support_impl(V)
 
     def _gradient_impl(self, V):
-        return self.left.gradient_hom(V) + self.right.gradient_hom(V)
+        return self.left._gradient_impl(V) + self.right._gradient_impl(V)
 
     def _tangent_block(self, u, E):
         return _block_sum(self.left._tangent_block(u, E),
@@ -1350,10 +1418,10 @@ class Dilate(ConvexBody):
         self._scale, self._sign = abs(factor), math.copysign(1.0, factor)
 
     def _support_impl(self, V):
-        return self._scale * self.body.support_hom(self._sign * V)
+        return self._scale * self.body._support_impl(self._sign * V)
 
     def _gradient_impl(self, V):
-        return self.factor * self.body.gradient_hom(self._sign * V)
+        return self.factor * self.body._gradient_impl(self._sign * V)
 
     def _tangent_block(self, u, E):
         # the per-direction checks call this once per u: the exact factors
@@ -1401,10 +1469,10 @@ class Translate(ConvexBody):
         self.vector = v
 
     def _support_impl(self, V):
-        return _plus_row_dots(self.body.support_hom(V), V, self.vector)
+        return _plus_row_dots(self.body._support_impl(V), V, self.vector)
 
     def _gradient_impl(self, V):
-        return self.body.gradient_hom(V) + self.vector
+        return self.body._gradient_impl(V) + self.vector
 
     def _tangent_block(self, u, E):
         return self.body._tangent_block(u, E)

@@ -1364,26 +1364,75 @@ class TestGaugeBracket:
             assert np.allclose(ratios[np.arange(len(P)), idx], full,
                                rtol=8 * self.EPS, atol=0.0), K
 
-    def test_refinement_starts_at_the_full_scan_maximum(self):
-        # away from the grid boundary points, the refined gauge is bit for
-        # bit the sphere search started from the full scan's argmax
+    def test_search_starts_at_the_hermite_start(self):
+        # every row's gauge and normal are bit for bit the sphere search
+        # started where _gauge_start puts it
         rng = np.random.default_rng(13)
         for K, _, _ in self._bodies():
             P = 2.0 * rng.normal(size=(2000, 2))
+            lo, idx, _ = K._gauge_bracket(P)
+            want = support_ratio_max(K, SupportRows(P),
+                                     K._gauge_start(P, idx), lo,
+                                     len(K._gauge_grid()[0]))
+            got = ConvexBody._gauge_exact(K, P)
+            assert np.array_equal(got[0], want[0]), K
+            assert np.array_equal(got[1], want[1]), K
+            assert np.array_equal(ConvexBody.gauge_many(K, P), want[0]), K
+
+    def test_start_converges_where_the_full_scan_start_does(self):
+        # the Hermite start moves converged gauges and normals only within
+        # the search's own tolerance; a finite-difference body's normals
+        # only within its gradient's error
+        rng = np.random.default_rng(16)
+        E200 = difference_body(Ellipsoid.from_semiaxes(200.0, 1.0))
+        for K, _, tol in self._bodies() + [(E200, None, 0.0)]:
+            P = 2.0 * rng.normal(size=(2000, 2))
             U, _, Uh = K._gauge_grid()
             ratios = P @ Uh.T
-            want, _ = support_ratio_max(K, SupportRows(P),
-                                        U[np.argmax(ratios, axis=1)],
-                                        ratios.max(axis=1), len(U))
-            got = ConvexBody.gauge_many(K, P)
-            assert np.array_equal(got, want), K
+            g0, u0 = support_ratio_max(K, SupportRows(P),
+                                       U[np.argmax(ratios, axis=1)],
+                                       ratios.max(axis=1), len(U))
+            g, u = ConvexBody._gauge_exact(K, P)
+            assert np.all(np.abs(g - g0) <= 1e-14 * g0), K
+            assert np.all(np.abs(u - u0) <= max(1e-12, tol)), K
+
+    def test_guard_keeps_the_grid_normal(self):
+        # cells that fail the Fritsch-Carlson test start at the better
+        # grid normal: the vertex cells of a Reuleaux triangle, where the
+        # radius of curvature is 0, and cells at the tips of a (200, 1)
+        # difference body
+        rng = np.random.default_rng(17)
+        R = Translate(ReuleauxTriangle2D(1.0), [0.05, -0.03])
+        E200 = difference_body(Ellipsoid.from_semiaxes(200.0, 1.0))
+        around = rng.uniform(-np.pi, np.pi, 4000)
+        tips = rng.uniform(-1e-2, 1e-2, 4000) + np.pi * (np.arange(4000) % 2)
+        for K, psi in ((R, around), (E200, tips)):
+            P = np.column_stack([np.cos(psi), np.sin(psi)])
+            phi, order, _, _, (_, alpha, _) = K._gauge_cells()
+            _, idx, _ = K._gauge_bracket(P)
+            k = K._gauge_cell(P[:, 0], P[:, 1])[0]
+            rejected = np.isnan(alpha[k])
+            U = K._gauge_grid()[0]
+            if K is R:
+                x, y = U[np.concatenate([order[k],
+                                         (order[k] + 1) % len(U)])].T
+                rho = K._tangent_block((x, y), ((-y, x),))[0]
+                assert np.array_equal(rejected,
+                                      (rho.reshape(2, -1) == 0.0).any(axis=0))
+            else:
+                # the guard rejects cells only near the tips
+                assert np.all(np.abs(np.sin(phi[np.isnan(alpha)])) < 1e-2)
+            assert rejected.any() and not rejected.all(), K
+            start = K._gauge_start(P, idx)
+            assert np.array_equal(start[rejected], U[idx[rejected]]), K
+            assert not np.any(start[~rejected] == U[idx[~rejected]]), K
 
     def test_cells_match_searchsorted(self):
         rng = np.random.default_rng(14)
         for K in (difference_body(Ellipsoid.from_semiaxes(200.0, 1.0)),
                   difference_body(Superellipse2D(8.0)),
                   Translate(ReuleauxTriangle2D(1.0), [0.05, -0.03])):
-            phi, order, _, _ = K._gauge_cells()
+            phi, order = K._gauge_cells()[:2]
             # random angles, the cell ends, and the next angle up
             at = np.concatenate([phi, np.nextafter(phi, np.inf)])
             P = np.vstack([rng.normal(size=(20000, 2)),
@@ -1391,7 +1440,9 @@ class TestGaugeBracket:
                            [[-1.0, 0.0], [-1.0, -0.0], [1.0, 0.0]]])
             psi = np.arctan2(P[:, 1], P[:, 0])
             want = order[np.searchsorted(phi, psi, side="right") - 1]
-            assert np.array_equal(K._gauge_cell(P[:, 0], P[:, 1]), want)
+            k, psi = K._gauge_cell(P[:, 0], P[:, 1])
+            assert np.array_equal(order[k], want)
+            assert np.array_equal(psi, np.arctan2(P[:, 1], P[:, 0]))
 
     def test_eccentric_difference_bodies_classify_exactly(self):
         # a window of 2% around gauge 1 misclassified box points of these
@@ -1576,11 +1627,19 @@ class TestSearchStopsOnBounds:
             g = ConvexBody.gauge_many(K, P[bounded])
             assert np.all(g <= up[bounded] * (1.0 + 1e-14)), K
 
+    # row-steps of each body's open rows near gauge 1 + TOL, membership and
+    # converged, when each search started at its better grid normal
+    GRID_START_STEPS = [(1809, 2867), (2426, 2504), (2581, 4047),
+                        (1777, 2669), (1793, 2873), (1763, 2642)]
+
     def test_fewer_search_steps(self, monkeypatch):
         # the open rows of points near gauge 1 + TOL: membership's search
         # stops each row where the bounds decide it, the converged search
         # runs every row to the end.  A step is one row in one evaluation
-        # of the residual.
+        # of the residual.  Starting at the Hermite interpolant of the
+        # cell takes no more steps than starting at the grid normal, and
+        # on smooth bodies decides each row in one step and converges it
+        # in two.
         steps = []
 
         def counting(K, A, U, tangents, _orig=bodies._optimality_residual):
@@ -1588,15 +1647,20 @@ class TestSearchStopsOnBounds:
             return _orig(K, A, U, tangents)
 
         monkeypatch.setattr(bodies, "_optimality_residual", counting)
-        for K in self._bodies():
+        for j, K in enumerate(self._bodies()):
             P = self._rows(K, 1e-8)
             g, idx, m = ConvexBody._gauge_bounds(K, P)
             P, idx, g = P[m], idx[m], g[m]
-            U = K._gauge_grid()[0]
             del steps[:]
             K._gauge_refine(P, idx, g)
             member = list(steps)
             del steps[:]
-            support_ratio_max(K, SupportRows(P), U[idx], g, len(U))
+            support_ratio_max(K, SupportRows(P), K._gauge_start(P, idx), g,
+                              len(K._gauge_grid()[0]))
             assert len(member) <= len(steps), K
             assert sum(member) < sum(steps), K
+            ceiling = self.GRID_START_STEPS[j]
+            assert sum(member) <= ceiling[0] and sum(steps) <= ceiling[1], K
+            if j in (0, 4):  # the (2, 1) difference body, the Fourier body
+                assert sum(member) <= len(P), K
+                assert sum(steps) <= 2 * len(P), K

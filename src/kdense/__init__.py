@@ -11,7 +11,7 @@ from .bodies import (Ball, ConvexBody, CurvatureData, Dilate, Ellipsoid,
                      boundary_points, curvature, curvature_many,
                      difference_body, normal_at, tangent_frame)
 from .errors import (ConfigError, DegenerateFit, FlatContact, GeometryError,
-                     NonUniqueContact, NonUniqueSupport, SingularCurvature)
+                     NonUniqueContact, SingularCurvature)
 from .measure import (OMEGA, IntegrationResult, QuadratureGrid,
                       circumscribed_ratio, gauge, halfspace_cut_volume,
                       intersection_volume, volume, volume_qmc,
@@ -24,7 +24,6 @@ from .analysis import (SpreadReport, curvature_symmetry_check,
                        halfvolume_condition_check, k_equals_2g_check,
                        kdense_spread, kp1_check, krantz_parks_check,
                        petty_check, touch_point, touch_points)
-from .oracles import (ConvexPolygon, ball_lens_volume, disk_lens_area,
-                      ellipse_curvature_param, polygon_clip_area)
+from .oracles import ball_lens_volume, disk_lens_area
 
 __version__ = "0.1.0"

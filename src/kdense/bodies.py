@@ -2,8 +2,8 @@
 
 Every body exposes the 1-homogeneous extension H(v) = |v| h(v/|v|) of its
 support function, plus its gradient (the boundary point with a given
-outward normal) and Hessian.  The second-order primitive of each kind is
-the tangent block R = E' H(u) E in an orthonormal frame E of the
+outward normal).  The second-order primitive of each kind is the tangent
+block R = E' H(u) E of the Hessian in an orthonormal frame E of the
 plane orthogonal to u (the reverse Weingarten map), built in closed form
 once, on components: each component of u and E is a float or an array of
 equal length, so one form serves a single direction (``curvature``, the
@@ -12,7 +12,8 @@ integral).  det R, the degeneracy test and S = R^-1 are array helpers for
 the stack; for one direction ``_curvature`` fuses them into a single scalar
 routine, and TestCurvatureMany::test_rows_equal_curvature_bit_for_bit pins
 the two paths to each other.  A single direction is validated once and
-memoized with its frame (``_direction``).  The Hessian is E R E' / |v|.
+memoized with its frame (``_direction``).  The Hessian itself is
+E R E' / |v|, which no check needs whole.
 Every kind gives its gradient and tangent block in closed form.  The
 Minkowski algebra (sums, homotheties sK with s != 0, so -K too, and
 translations) acts linearly on H and on the tangent block.  Balls and
@@ -616,20 +617,6 @@ class ConvexBody:
         V = np.atleast_2d(np.asarray(V, dtype=float))
         return self._gradient_impl(V)
 
-    def hessian_hom(self, v):
-        """Hessian of H at v; (-1)-homogeneous, with v in its kernel.
-
-        It is E R E' / |v|, with R the tangent block at u = v / |v| in
-        E = tangent_frame(u).
-        """
-        v = np.asarray(v, dtype=float)
-        n = math.sqrt(v @ v)
-        u = tuple((v / n).tolist())
-        E = _frame(u)
-        R = self._tangent_block(u, E)
-        E = _frame_matrix(E)
-        return E @ _block_matrix(R) @ E.T / n
-
     def _tangent_block(self, u, E):
         """Entries of the tangent block R = E' H(u) E: (r11,) in 2D and the
         symmetric (r11, r12, r22) in 3D.
@@ -1124,22 +1111,19 @@ class Ellipsoid(_ClosedGauge):
 
 class _Theta2DBody(ConvexBody):
     """2D bodies defined by an angular support profile h(theta); a kind
-    defines h_theta and its derivatives dh_theta and d2h_theta."""
+    defines ``_profile(t, n)``, h and its first n - 1 derivatives at t."""
 
     def __init__(self):
         super().__init__(2)
 
     def _support_impl(self, V):
         t = np.arctan2(V[:, 1], V[:, 0])
-        return np.linalg.norm(V, axis=1) * self.h_theta(t)
-
-    def _profile(self, t):
-        """h(t) and h'(t), the gradient's two terms."""
-        return self.h_theta(t), self.dh_theta(t)
+        (h,) = self._profile(t, 1)
+        return np.linalg.norm(V, axis=1) * h
 
     def _gradient_impl(self, V):
         t = np.arctan2(V[:, 1], V[:, 0])
-        h, dh = self._profile(t)
+        h, dh = self._profile(t, 2)
         r = np.linalg.norm(V, axis=1, keepdims=True)
         u = V / r
         uperp = np.column_stack([-u[:, 1], u[:, 0]])
@@ -1148,8 +1132,8 @@ class _Theta2DBody(ConvexBody):
     def _tangent_block(self, u, E):
         # the radius of curvature h + h''
         (x, y), single = _as_arrays(u)
-        t = np.arctan2(y, x)
-        r = self.h_theta(t) + self.d2h_theta(t)
+        h, _, d2h = self._profile(np.arctan2(y, x), 3)
+        r = h + d2h
         return (float(r[0]) if single else r,)
 
 
@@ -1216,19 +1200,10 @@ class FourierBody2D(_Theta2DBody):
             total += term
         return total
 
-    def _profile(self, t):
-        # one cos(k t) and sin(k t) for both terms
+    def _profile(self, t, n):
+        # one cos(k t) and sin(k t) for all n terms
         trig = self._trig(t)
-        return self._series(trig, 0), self._series(trig, 1)
-
-    def h_theta(self, t):
-        return self._series(self._trig(t), 0)
-
-    def dh_theta(self, t):
-        return self._series(self._trig(t), 1)
-
-    def d2h_theta(self, t):
-        return self._series(self._trig(t), 2)
+        return tuple(self._series(trig, d) for d in range(n))
 
 
 class Superellipse2D(_ClosedGauge):
@@ -1321,7 +1296,8 @@ class ReuleauxTriangle2D(_ClosedGauge, _Theta2DBody):
             vert[d_vert <= np.pi / 6.0 + 1e-15] = i
         return arc, vert
 
-    def h_theta(self, t):
+    def _profile(self, t, n):
+        # one sector lookup for all n terms
         t = np.asarray(t, dtype=float)
         arc, vert = self._sector(t)
         u = _unit_circle(t)
@@ -1330,23 +1306,14 @@ class ReuleauxTriangle2D(_ClosedGauge, _Theta2DBody):
         h[m] = np.einsum("ij,ij->i", u[m], self.vertices[arc[m]]) + self.width
         m = ~m
         h[m] = np.einsum("ij,ij->i", u[m], self.vertices[vert[m]])
-        return h
-
-    def dh_theta(self, t):
-        t = np.asarray(t, dtype=float)
-        arc, vert = self._sector(t)
-        up = _unit_circle(t + np.pi / 2.0)
-        which = np.where(arc >= 0, arc, vert)
-        return np.einsum("ij,ij->i", up, self.vertices[which])
-
-    def d2h_theta(self, t):
-        t = np.asarray(t, dtype=float)
-        arc, vert = self._sector(t)
-        u = _unit_circle(t)
-        which = np.where(arc >= 0, arc, vert)
-        d2 = -np.einsum("ij,ij->i", u, self.vertices[which])
+        if n == 1:
+            return (h,)
+        V = self.vertices[np.where(arc >= 0, arc, vert)]
+        dh = np.einsum("ij,ij->i", _unit_circle(t + np.pi / 2.0), V)
+        if n == 2:
+            return h, dh
         # radius of curvature h + h'' is w on arcs, 0 at vertex sectors
-        return d2
+        return h, dh, -np.einsum("ij,ij->i", u, V)
 
     def _disk_gauges(self, pts):
         """Gauges of the rows of pts in each of the three disks."""

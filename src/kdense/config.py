@@ -123,9 +123,12 @@ def load_config(path):
 def _validate_experiment(spec):
     if spec.get("body") is None:
         raise ConfigError(f"experiment {spec.name}: missing key 'body'")
-    # error budgets need two replicates; a spread needs 8 boundary points
-    least = {"replicates": 2, "points": 8 if spec.kind == "kdense" else 1}
-    for key in ("points", "qmc_points", "replicates", "directions", "rungs"):
+    # error budgets need two replicates, a spread 8 boundary points and a
+    # power-law fit 4 ladder rungs
+    least = {"replicates": 2, "points": 8 if spec.kind == "kdense" else 1,
+             "rungs": 4}
+    for key in ("points", "qmc_points", "replicates", "directions", "rungs",
+                "halfvolume_points"):
         if key in spec.options and spec.get_int(key, 0) < least.get(key, 1):
             raise ConfigError(f"experiment {spec.name}: key '{key}' must be "
                               f"at least {least.get(key, 1)}")

@@ -5,14 +5,6 @@ class GeometryError(Exception):
     """Base class for geometric failure modes."""
 
 
-class NonUniqueSupport(GeometryError):
-    """The face of a body in some direction is not a single point."""
-
-    def __init__(self, message, points=None):
-        super().__init__(message)
-        self.points = points
-
-
 class SingularCurvature(GeometryError):
     """Curvature data is degenerate (flat or infinitely curved direction)."""
 

@@ -458,17 +458,6 @@ def intersection_volume(G, K, x, r, n=DEFAULT_QMC_POINTS,
     return _result(hits[:, 0], n, box)
 
 
-def deficit_volume(G, K, x, r, n=DEFAULT_QMC_POINTS,
-                   replicates=DEFAULT_REPLICATES, seed=0):
-    """V(G \\ (x + rK)); estimated directly so the difference is not noisy.
-
-    One copy of the sweep of ``_copy_counts``: the points of G not inside
-    x + rK, the count of the plain indicator G(p) & ~K((p - x) / r).
-    """
-    inside, hits, box = _copy_counts(G, K, [(x, r)], n, replicates, seed)
-    return _result(inside - hits[:, 0], n, box)
-
-
 def halfspace_cut_volume(K, n_dir, n=DEFAULT_QMC_POINTS,
                          replicates=DEFAULT_REPLICATES, seed=0):
     """V({y in K : y . n >= 0}) by qmc membership counting.

@@ -15,7 +15,7 @@ truncation error O(s^2) and rounding error O(eps / s^2).
 import numpy as np
 
 from kdense.bodies import ConvexBody, _frame_matrix, _grid_spacing
-from kdense.errors import NonUniqueSupport
+from kdense.errors import GeometryError
 
 EPS = np.finfo(float).eps
 # relative steps of the first and second differences
@@ -28,6 +28,14 @@ GRADIENT_TOL = 4.0 * EPS / GRADIENT_STEP
 # a difference tangent block or Hessian against a closed form, relative to
 # its norm: truncation, 100 s^2 = 1e-6, outweighs rounding, eps / s^2
 HESSIAN_TOL = 100.0 * HESSIAN_STEP ** 2
+
+
+class NonUniqueSupport(GeometryError):
+    """The face of a body in some direction is not a single point."""
+
+    def __init__(self, message, points=None):
+        super().__init__(message)
+        self.points = points
 
 
 class FiniteDifference(ConvexBody):

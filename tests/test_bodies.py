@@ -19,11 +19,12 @@ from kdense.bodies import (Ball, ConvexBody, Dilate, Ellipsoid, FourierBody2D,
 from kdense import bodies, measure
 from kdense.analysis import krantz_parks_check
 from kdense.config import BODY_KINDS, load_config
-from kdense.errors import NonUniqueSupport, SingularCurvature
+from kdense.errors import SingularCurvature
 from kdense.measure import bounding_box
-from kdense.oracles import ellipse_curvature_param
 
-from finite_difference import FiniteDifference, GRADIENT_TOL, HESSIAN_TOL
+from finite_difference import (FiniteDifference, GRADIENT_TOL, HESSIAN_TOL,
+                               NonUniqueSupport)
+from oracles import ellipse_curvature_param
 
 RNG = np.random.default_rng(7)
 
@@ -620,6 +621,14 @@ def _off_axis(dim):
     return np.column_stack([np.cos(t.ravel()), np.sin(t.ravel())])
 
 
+def _hessian(body, v):
+    """Hessian of the support extension H at v: E R E' / |v|, from the
+    tangent block R at u = v / |v| in E = tangent_frame(u)."""
+    n = np.linalg.norm(v)
+    R, E = reverse_weingarten(body, v / n)
+    return E @ R @ E.T / n
+
+
 def _ellipsoid_kappa(Q, u):
     """Gauss curvature (u'Qu)^((N+1)/2) / det Q of the ellipsoid with matrix Q."""
     return (u @ Q @ u) ** (0.5 * (len(u) + 1)) / np.linalg.det(Q)
@@ -665,8 +674,9 @@ class TestTangentBlock:
                     _ellipsoid_kappa(G.Q, u), rel=rtol, abs=0.0)
 
     def test_block_equals_hessian_projection(self):
-        # hessian_hom projects the block taken at the same u, so bodies with
-        # a difference block meet the analytic bound too
+        # the block in either frame is the projection of the Hessian built
+        # from the default frame's block, so bodies with a difference block
+        # meet the analytic bound too
         E2 = Ellipsoid.from_semiaxes(2.0, 1.0, center=[0.3, -0.2])
         E3 = Ellipsoid.from_semiaxes(2.0, 1.0, 1.5, center=[0.1, 0.0, -0.2])
         bodies = _zoo() + [
@@ -691,7 +701,7 @@ class TestTangentBlock:
             for u in (as_direction(as_direction(v)) for v in V):
                 for E in (tangent_frame(u), tangent_frame(-u)):
                     R, _ = reverse_weingarten(body, u, E)
-                    ref = E.T @ body.hessian_hom(u) @ E
+                    ref = E.T @ _hessian(body, u) @ E
                     assert np.linalg.norm(R - ref) <= \
                         1e-13 * np.linalg.norm(ref), body
 
@@ -742,7 +752,7 @@ class TestTangentBlock:
         ]
         for body in bodies:
             for v in 1.7 * _off_axis(body.dim):
-                H = body.hessian_hom(v)
+                H = _hessian(body, v)
                 ref = FiniteDifference(body).hessian(v)
                 scale = np.linalg.norm(ref)
                 assert np.abs(H - H.T).max() <= 1e-15 * scale, body
@@ -834,27 +844,6 @@ right = ball
                 # the block is 0 in Reuleaux vertex sectors: scale by h(u)
                 scale = max(np.linalg.norm(ref), body.support(u))
                 assert np.linalg.norm(R - ref) <= HESSIAN_TOL * scale, name
-
-    def test_closed_forms_skip_the_hessian(self, monkeypatch):
-        calls = []
-        hessian_hom = ConvexBody.hessian_hom
-
-        def counting(self, v):
-            calls.append(self)
-            return hessian_hom(self, v)
-
-        monkeypatch.setattr(ConvexBody, "hessian_hom", counting)
-        for G in (Ellipsoid.from_semiaxes(2.0, 1.0, center=[0.3, 0.1]),
-                  Ellipsoid.from_semiaxes(2.0, 1.0, 1.5)):
-            u = _units(G.dim, 1)[0]
-            for body in (G, difference_body(G), Dilate(G, 2.0),
-                         Translate(G, np.full(G.dim, 0.1)), Dilate(G, -1.0),
-                         MinkowskiSum(G, Ball(0.5, dim=G.dim))):
-                curvature(body, u)
-                reverse_weingarten(body, u)
-        for body in _zoo():
-            curvature(body, _units(body.dim, 1)[0])
-        assert calls == []
 
 
 class TestCurvatureMany:

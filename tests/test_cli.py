@@ -436,11 +436,13 @@ body = g
 
     @pytest.mark.parametrize("kind, line", [
         ("kdense", "replicates = 1"), ("kdense", "points = 7"),
-        ("report", "replicates = 1"), ("asymptotic", "replicates = 1")])
+        ("report", "replicates = 1"), ("asymptotic", "replicates = 1"),
+        ("report", "halfvolume_points = 0"), ("asymptotic", "rungs = 3")])
     def test_too_few_replicates_or_points_rejected(self, tmp_path, capsys,
                                                    kind, line):
         # one replicate has a NaN standard error, so every budgeted verdict
-        # failed with exit 0; fewer than 8 points raised a traceback
+        # failed with exit 0; fewer than 8 points, no half-volume cut or
+        # fewer than 4 rungs raised a traceback
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"""
 [body d]

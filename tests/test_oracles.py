@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from kdense.oracles import (ConvexPolygon, ball_lens_volume, disk_lens_area,
-                            ellipse_curvature_param, halfplane_clip_area,
-                            polygon_clip_area, reuleaux_polygon, shoelace_area)
+from kdense.oracles import ball_lens_volume, disk_lens_area
+
+from oracles import (ConvexPolygon, ellipse_curvature_param,
+                     polygon_clip_area, shoelace_area)
 
 
 class TestDiskLens:
@@ -107,23 +108,6 @@ class TestPolygons:
         S = [(0, 0), (1, 0), (1, 1), (0, 1)]
         T = [(5, 5), (6, 5), (6, 6), (5, 6)]
         assert polygon_clip_area(S, T) == 0.0
-
-    def test_halfplane_clip(self):
-        S = [(0, 0), (1, 0), (1, 1), (0, 1)]
-        assert halfplane_clip_area(S, (0.25, 0.0), (1.0, 0.0)) == pytest.approx(0.75)
-        assert halfplane_clip_area(S, (0.25, 0.0), (-1.0, 0.0)) == pytest.approx(0.25)
-
-
-class TestReuleauxPolygon:
-    def test_area(self):
-        # area of the width-1 shape: (pi - sqrt(3)) / 2
-        P = reuleaux_polygon(width=1.0, n=20000)
-        assert P.area() == pytest.approx((math.pi - math.sqrt(3.0)) / 2.0, rel=1e-6)
-
-    def test_area_scales_quadratically(self):
-        a1 = reuleaux_polygon(width=1.0, n=3000).area()
-        a2 = reuleaux_polygon(width=2.0, n=3000).area()
-        assert a2 == pytest.approx(4.0 * a1, rel=1e-10)
 
 
 class TestEllipseCurvature:

@@ -40,7 +40,9 @@ class PowerLawFit:
 def fit_power_law(samples, rel_floor=0.0):
     """Weighted least squares of log f against log eps.
 
-    ``samples`` is a list of (eps, f, stderr), all finite, with positive f.
+    ``samples`` is a list of (eps, f, stderr), all finite, with f >= 0.  A
+    rung no larger than its error bar, such as one that counted no point,
+    raises ``DegenerateFit``.
     Weights are the inverse variances of log f; ``rel_floor`` adds a
     relative error floor guarding against over-trusting rungs with tiny
     error bars.
@@ -54,8 +56,8 @@ def fit_power_law(samples, rel_floor=0.0):
     if not (np.isfinite(eps).all() and np.isfinite(f).all()
             and np.isfinite(sig).all()):
         raise ValueError("ladder samples must be finite")
-    if np.any(f <= 0):
-        raise ValueError("ladder values must be positive")
+    if np.any(f < 0):
+        raise ValueError("ladder values must be non-negative")
     if np.any(f <= sig):
         raise DegenerateFit("ladder value drowned by its error bar; "
                             "deepen the qmc budget")

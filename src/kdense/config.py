@@ -82,14 +82,18 @@ class ExperimentConfig:
 
 def load_config(path):
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        sections = [(s, dict(parser.items(s))) for s in parser.sections()]
+    except configparser.Error as e:
+        # a repeated key, a key before any section, a stray '%'
+        raise ConfigError(f"cannot parse config file '{path}': {e}") from e
     if not read:
         raise ConfigError(f"cannot read config file '{path}'")
     body_specs = {}
     experiment_specs = []
     output_dir = "out"
-    for section in parser.sections():
-        opts = dict(parser.items(section))
+    for section, opts in sections:
         if section == "output":
             output_dir = opts.get("directory", output_dir)
             continue

@@ -15,9 +15,8 @@ rest of successive copies go to one bounded batch of K's membership test
 each.
 """
 
+import functools
 import math
-import os
-import threading
 
 import numpy as np
 
@@ -35,7 +34,6 @@ MIN_QUADRATURE_NODES = {2: 2, 3: 4}
 
 DEFAULT_QMC_POINTS = 2 ** 17
 DEFAULT_REPLICATES = 8
-WORKERS_ENV = "KDENSE_WORKERS"
 
 
 class IntegrationResult:
@@ -72,52 +70,13 @@ class QuadratureGrid:
         return float(np.dot(self.weights, values))
 
 
-def _workers():
-    raw = os.environ.get(WORKERS_ENV, "1")
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ValueError(f"{WORKERS_ENV} must be a positive integer, "
-                         f"not {raw!r}")
-    return int(raw)
-
-
-def _replicate_map(fn, replicates):
-    """Run replicate jobs, preserving index order for bit-stable reduction.
-    The thread pool is imported only for more than one worker: importing
-    ``concurrent.futures`` loads ``logging`` too, which one worker never
-    needs."""
-    w = _workers()
-    if w == 1:
-        return [fn(i) for i in range(replicates)]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=w) as pool:
-        return list(pool.map(fn, range(replicates)))
-
-
-_SOBOL_CACHE = {}
-_SOBOL_CACHE_MAX = 32
-# replicate threads insert and evict at once: eviction reads the oldest key
-# and pops it, which must not interleave with another thread's writes
-_SOBOL_LOCK = threading.Lock()
-
-
+@functools.lru_cache(maxsize=32)
 def _sobol(dim, n, seed, replicate):
     # cached: calls with the same size and seed reuse the same streams,
     # which both saves regeneration and correlates their integration
     # errors.  Every caller shares the array, so it is read-only.
-    key = (dim, n, seed, replicate)
-    hit = _SOBOL_CACHE.get(key)
-    if hit is not None:
-        return hit
     pts = qmc.Sobol(d=dim, entropy=(seed, replicate)).random(n)
     pts.flags.writeable = False
-    with _SOBOL_LOCK:
-        # another thread may have stored the same stream meanwhile
-        hit = _SOBOL_CACHE.get(key)
-        if hit is not None:
-            return hit
-        if len(_SOBOL_CACHE) >= _SOBOL_CACHE_MAX:
-            _SOBOL_CACHE.pop(next(iter(_SOBOL_CACHE)))
-        _SOBOL_CACHE[key] = pts
     return pts
 
 
@@ -191,7 +150,7 @@ def _qmc_pass(body, n, replicates, seed, columns=None, keep=None):
         pts = pts.compress(body.contains(pts), axis=0)
         return [len(pts)] + (columns(pts) if columns else [])
 
-    counts = np.array(_replicate_map(one, replicates))
+    counts = np.array([one(i) for i in range(replicates)])
     return counts[:, 0], counts[:, 1:], box
 
 

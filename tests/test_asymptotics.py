@@ -75,6 +75,13 @@ class TestFitPowerLaw:
         samples = [(e, 1e-6, 1e-3) for e in eps]
         with pytest.raises(DegenerateFit):
             fit_power_law(samples)
+        # a rung that counted no point has value 0 and stderr 0; it used to
+        # raise a bare ValueError, which ended ``kdense verify`` with a
+        # traceback
+        samples = [(0.1, 0.0, 0.0)] + [(e, 5.0 * e ** 1.5, 0.0)
+                                       for e in eps[1:]]
+        with pytest.raises(DegenerateFit):
+            fit_power_law(samples)
 
 
 class TestDeficitLadder:

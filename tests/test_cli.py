@@ -115,7 +115,7 @@ seed = 0
 def _bad_experiment_key(line):
     """A good body g and an experiment x on it whose last key is line."""
     return ("kind = ellipsoid\nsemiaxes = 2.0 1.0\n\n[experiment x]\n"
-            "kind = asymptotic\nbody = g\nrungs = 3\nqmc_points = 1024\n"
+            "kind = asymptotic\nbody = g\nrungs = 4\nqmc_points = 1024\n"
             f"replicates = 2\n{line}")
 
 
@@ -245,6 +245,32 @@ class TestExitCodes:
         assert main(["verify", str(cfg)]) == 1
         assert "kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "[body b]\nkind = ball\nradius = 1\nradius = 2\n",
+        "kind = ball\n[body b]\nkind = ball\nradius = 1\n",
+        "[body b]\nkind = ellipsoid\nsemiaxes = 2 %\n"],
+        ids=["repeated key", "key before any section", "stray percent"])
+    def test_malformed_ini(self, tmp_path, capsys, text):
+        # each used to end with a configparser traceback
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main(["verify", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+
+    def test_ladder_rung_with_no_point(self, tmp_path):
+        # with 1024 points a rung of the deficit ladder counts no point in
+        # any replicate; that is an undeclared degenerate fit, not a
+        # ValueError traceback
+        cfg = tmp_path / "few.cfg"
+        cfg.write_text("[body g]\nkind = ellipsoid\nsemiaxes = 2.0 1.0\n\n"
+                       "[experiment x]\nkind = asymptotic\nbody = g\n"
+                       "qmc_points = 1024\n")
+        out = tmp_path / "o"
+        assert main(["verify", str(cfg), "--out", str(out)]) == 2
+        assert (out / "summary.csv").read_text().splitlines()[1:] == [
+            "x,large_r_fit,g,nan,degenerate_fit"]
+
     def test_undeclared_vertex_contact(self, tmp_path):
         cfg = tmp_path / "vertex.cfg"
         cfg.write_text(REULEAUX_REPORT.format(extra=""))
@@ -345,26 +371,6 @@ seed = 0
         assert ra != (b / "spread.csv").read_bytes()
         assert ra == (c / "spread.csv").read_bytes()
 
-    def test_worker_count_does_not_change_output(self, tmp_path):
-        cfg = tmp_path / "small.cfg"
-        cfg.write_text(SMALL.format(out=tmp_path / "unused"))
-        a, b = tmp_path / "wa", tmp_path / "wb"
-        old = os.environ.get("KDENSE_WORKERS")
-        try:
-            os.environ["KDENSE_WORKERS"] = "1"
-            main(["verify", str(cfg), "--out", str(a)])
-            os.environ["KDENSE_WORKERS"] = "4"
-            main(["verify", str(cfg), "--out", str(b)])
-        finally:
-            if old is None:
-                os.environ.pop("KDENSE_WORKERS", None)
-            else:
-                os.environ["KDENSE_WORKERS"] = old
-        # the report's half-volume battery and the overlap spread draw
-        # Sobol points, so 4 workers run their replicates in the pool
-        assert {"contact.csv", "spread.csv"} <= {p.name for p in a.iterdir()}
-        assert _read_all(a) == _read_all(b)
-
     @pytest.mark.parametrize("factor", ["nan", "inf", "0"])
     def test_bad_dilation_factor_rejected(self, tmp_path, capsys, factor):
         # a NaN factor used to build a NaN body and exit 0 with an inf spread
@@ -433,6 +439,9 @@ body = g
         err = capsys.readouterr().err
         where = "experiment x" if "[experiment x]" in body else "body g"
         assert "config error" in err and where in err
+        if where == "experiment x":
+            # the error names the helper's last key, not another one
+            assert f"key '{body.splitlines()[-1].split()[0]}'" in err
 
     @pytest.mark.parametrize("kind, line", [
         ("kdense", "replicates = 1"), ("kdense", "points = 7"),
@@ -515,25 +524,6 @@ of = d
         err = capsys.readouterr().err
         assert "usage:" in err and flag in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("workers", ["abc", "0", "-2"])
-    def test_bad_worker_count_rejected(self, tmp_path, capsys, monkeypatch,
-                                       workers):
-        # a usage error naming the variable, before any run; it used to
-        # surface as a traceback from inside the first QMC pass
-        cfg = tmp_path / "small.cfg"
-        cfg.write_text(SMALL.format(out=tmp_path / "unused"))
-        monkeypatch.setenv("KDENSE_WORKERS", workers)
-        monkeypatch.setattr("kdense.cli.load_config",
-                            lambda *a: pytest.fail("the config was read"))
-        with pytest.raises(SystemExit) as exit_:
-            main(["verify", str(cfg), "--out", str(tmp_path / "o")])
-        assert exit_.value.code == 2
-        err = capsys.readouterr().err
-        assert "usage:" in err and "KDENSE_WORKERS" in err
-        assert repr(workers) in err and "Traceback" not in err
-        assert not (tmp_path / "o").exists()
-        assert not (tmp_path / "unused").exists()
 
     def test_bad_sample_count_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 from unittest import mock
 
 import numpy as np
@@ -134,19 +133,6 @@ class TestVolume:
         with pytest.raises(ValueError, match=name):
             intersection_volume(Ball(1.0), Ball(1.0), [1.0, 0.0], 0.5, **args)
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
-    def test_bad_worker_count_rejected(self, monkeypatch, value):
-        # each used to run silently with one worker
-        monkeypatch.setenv(measure.WORKERS_ENV, value)
-        with pytest.raises(ValueError, match=measure.WORKERS_ENV):
-            volume_qmc(Ball(1.0), n=1024, replicates=2, seed=0)
-
-    def test_worker_count_keeps_values(self, monkeypatch):
-        want = volume_qmc(Ball(1.0), n=1024, replicates=3, seed=0)
-        monkeypatch.setenv(measure.WORKERS_ENV, "2")
-        got = volume_qmc(Ball(1.0), n=1024, replicates=3, seed=0)
-        assert (got.value, got.stderr) == (want.value, want.stderr)
-
     def test_determinism(self):
         a = volume_qmc(Ball(1.0), **FAST)
         b = volume_qmc(Ball(1.0), **FAST)
@@ -259,56 +245,12 @@ class TestSobol:
         with pytest.raises(ValueError):
             pts[0, 0] = 0.5
 
-    def test_concurrent_eviction(self):
-        # replicate threads evict from a full cache at once; with the
-        # switch interval at 1 us an unlocked pop of the oldest key raised
-        # KeyError or "dictionary changed size during iteration"
-        threads, keys, trials = 8, 8, 50
-        cache = measure._SOBOL_CACHE
-        saved, interval = dict(cache), sys.getswitchinterval()
-        errors, got = [], {}
-
-        def work(trial, t, barrier):
-            barrier.wait()
-            try:
-                for k in range(keys):
-                    got[trial, t, k] = _sobol(2, 4, trial, t * keys + k)
-            except (KeyError, RuntimeError) as e:  # the race under test
-                errors.append(repr(e))
-
-        try:
-            sys.setswitchinterval(1e-6)
-            for trial in range(trials):
-                cache.clear()
-                for i in range(measure._SOBOL_CACHE_MAX):
-                    cache[(0, 0, -1, i)] = np.empty((0, 2))
-                barrier = threading.Barrier(threads, timeout=10.0)
-                pool = [threading.Thread(target=work, args=(trial, t, barrier))
-                        for t in range(threads)]
-                for th in pool:
-                    th.start()
-                for th in pool:
-                    th.join(timeout=10.0)
-                assert not any(th.is_alive() for th in pool)
-                assert not errors, (trial, errors[:3])
-                assert len(got) == (trial + 1) * threads * keys
-                assert len(cache) <= measure._SOBOL_CACHE_MAX
-            # every thread got the stream a serial call draws
-            for (trial, t, k), pts in list(got.items())[::37]:
-                cache.clear()
-                assert np.array_equal(pts, _sobol(2, 4, trial, t * keys + k))
-        finally:
-            sys.setswitchinterval(interval)
-            cache.clear()
-            cache.update(saved)
-
     def test_import_does_not_load_scipy_stats(self, tmp_path):
         # scipy and numpy's random module are test oracles only: neither is
         # loaded by the import, a QMC volume or a whole verify run; nor is
-        # the thread pool's concurrent.futures, with one worker
+        # concurrent.futures
         src = os.path.dirname(os.path.dirname(kdense.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        env.pop("KDENSE_WORKERS", None)
         shipped = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                                "configs", "verify.cfg")
         prog = """if True:
@@ -332,14 +274,15 @@ class TestSobol:
             env=env, capture_output=True, text=True, check=True)
         assert out.stdout.splitlines()[-1] == "0 [[], [], []]"
 
-    def test_source_imports_neither_scipy_nor_numpy_random(self):
+    def test_source_imports_no_scipy_numpy_random_or_threads(self):
         # the run above sees only the paths a verify run takes; this reads
         # every import in the package, also those inside functions, and
-        # every numpy.random attribute, which numpy imports on first use
+        # every numpy.random attribute, which numpy imports on first use.
+        # Replicates run in one serial loop, so no thread module either.
         def banned(name):
-            return (name == "scipy" or name.startswith("scipy.")
-                    or name == "numpy.random"
-                    or name.startswith("numpy.random."))
+            return any(name == m or name.startswith(m + ".")
+                       for m in ("scipy", "numpy.random", "threading",
+                                 "concurrent.futures"))
 
         package = os.path.dirname(kdense.__file__)
         found = []

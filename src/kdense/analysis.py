@@ -14,8 +14,8 @@ import operator
 import numpy as np
 
 from . import measure
-from .bodies import (_as_directions, _block_sum, _curvature, _direction,
-                     _grid_spacing, _is_difference_body, boundary_points,
+from .bodies import (_as_directions, _block_sum, _direction, _grid_spacing,
+                     _is_difference_body, _shape_operator, boundary_points,
                      curvature_many, difference_body, sphere_directions)
 from .errors import NonUniqueContact
 
@@ -162,14 +162,11 @@ def petty_check(G, m=256):
                                "kappa": kappa, "h": h})
 
 
-def _full(S):
-    """Row-major entries of the 1x1 or symmetric 2x2 matrix with entries S."""
-    return S if len(S) == 1 else (S[0], S[1], S[1], S[2])
-
-
-def _frobenius_gap(P, Q):
-    """Frobenius norm of P - Q, both given by row-major entries."""
-    return math.hypot(*map(operator.sub, P, Q))
+def _frobenius_gap(S, P):
+    """Frobenius norm of S - P, S symmetric by entries and P row-major."""
+    if len(S) == 1:
+        return math.hypot(S[0] - P[0])
+    return math.hypot(S[0] - P[0], S[1] - P[1], S[1] - P[2], S[2] - P[3])
 
 
 def krantz_parks_check(A, B, u):
@@ -181,13 +178,13 @@ def krantz_parks_check(A, B, u):
     entry by entry, as ``MinkowskiSum`` forms it.  SingularCurvature is
     raised for A, B and A + B in that order.
     """
-    u, F = _direction(u, A.dim)
+    u, F, _ = _direction(u, A.dim)
     R_A = A._tangent_block(u, F)
-    S_A = _curvature(R_A, u)[1]
+    S_A = _shape_operator(R_A, u)
     R_B = B._tangent_block(u, F)
-    S_B = _curvature(R_B, u)[1]
-    S_AB = _curvature(_block_sum(R_A, R_B), u)[1]
-    return _frobenius_gap(_full(S_AB), _harmonic_compose(S_A, S_B))
+    S_B = _shape_operator(R_B, u)
+    S_AB = _shape_operator(_block_sum(R_A, R_B), u)
+    return _frobenius_gap(S_AB, _harmonic_compose(S_A, S_B))
 
 
 def _harmonic_compose(S_A, S_B):
@@ -229,19 +226,18 @@ def kp1_check(G, u, K=None):
     evaluated on its own.  SingularCurvature is raised for K, G at u and
     G at -u in that order.
     """
-    u, F = _direction(u, G.dim)
-    mu = tuple(map(operator.neg, u))
+    u, F, mu = _direction(u, G.dim)
     R_Gu = G._tangent_block(u, F)
     R_Gmu = G._tangent_block(mu, F)
     R_K = _block_sum(R_Gu, R_Gmu) if K is None or _is_difference_body(K, G) \
         else K._tangent_block(u, F)
-    S_K = _curvature(R_K, u)[1]
-    S_Gu = _curvature(R_Gu, u)[1]
-    S_Gmu = _curvature(R_Gmu, mu)[1]
+    S_K = _shape_operator(R_K, u)
+    S_Gu = _shape_operator(R_Gu, u)
+    S_Gmu = _shape_operator(R_Gmu, mu)
     rhs = _harmonic_compose(S_Gu, S_Gmu)
     if not _is_positive_definite(tuple(map(operator.sub, S_Gu, S_K))):
         raise ValueError("S_G(u) - S_K(u) is not positive definite")
-    return _frobenius_gap(_full(S_K), rhs)
+    return _frobenius_gap(S_K, rhs)
 
 
 def _is_positive_definite(M):

@@ -13,7 +13,7 @@ import operator
 import numpy as np
 
 from .analysis import _is_positive_definite, touch_point
-from .bodies import _curvature, _det, _direction, normal_at
+from .bodies import _det, _direction, _shape_operator, normal_at
 from .errors import DegenerateFit, FlatContact
 from .measure import OMEGA, halfspace_cut_volume
 from . import measure
@@ -156,18 +156,18 @@ def _touch_constant(G, K, x, c, d, minus_k):
     """c w_{N-1} h_K(u)^((N+1)/2) / (d det[M]^(1/2)) at the touch direction
     u of x, with M = S_G(u) - S_K(u) if minus_k, else S_G(u).
 
-    The shape operators are ``kp1_check``'s: ``_curvature`` of each body's
-    tangent block in the memoized frame of u, by entries, with det M from
-    the entries.  SingularCurvature is raised for G, then K; ValueError
+    The shape operators are ``kp1_check``'s: ``_shape_operator`` of each
+    body's tangent block in the memoized frame of u, by entries, with det M
+    from the entries.  SingularCurvature is raised for G, then K; ValueError
     when M is not positive definite.
     """
     N = G.dim
     u = touch_point(G, K, x)[1]
-    v, E = _direction(u, N)
-    M = _curvature(G._tangent_block(v, E), v)[1]
+    v, E, _ = _direction(u, N)
+    M = _shape_operator(G._tangent_block(v, E), v)
     name = "S_G(u)"
     if minus_k:
-        S_K = _curvature(K._tangent_block(v, E), v)[1]
+        S_K = _shape_operator(K._tangent_block(v, E), v)
         M = tuple(map(operator.sub, M, S_K))
         name = "S_G(u) - S_K(u)"
     if not _is_positive_definite(M):

@@ -9,10 +9,10 @@ once, on components: each component of u and E is a float or an array of
 equal length, so one form serves a single direction (``curvature``, the
 identity checks) and a stack of them (``curvature_many``, the support
 integral).  det R, the degeneracy test and S = R^-1 are array helpers for
-the stack; for one direction ``_curvature`` fuses them into a single scalar
-routine, and TestCurvatureMany::test_rows_equal_curvature_bit_for_bit pins
-the two paths to each other.  A single direction is validated once and
-memoized with its frame (``_direction``).  The Hessian itself is
+the stack; for one direction ``_shape_operator`` fuses them into a scalar
+routine that returns S alone, and test_rows_equal_curvature_bit_for_bit
+pins the two paths to each other.  One direction is validated once and
+memoized with its frame and -u (``_direction``).  The Hessian itself is
 E R E' / |v|, which no check needs whole.
 Every kind gives its gradient and tangent block in closed form.  The
 Minkowski algebra (sums, homotheties sK with s != 0, so -K too, and
@@ -140,25 +140,24 @@ def _frame(u):
     return ((x1, y1, z1), (y * z1 - z * y1, z * x1 - x * z1, x * y1 - y * x1))
 
 
-# validated directions and their frames, by the bytes of the float array:
-# the per-direction checks meet the same few directions many times.  A full
-# memo is emptied in one call, never evicted entry by entry, so threads
-# that share it cannot race on an eviction.
+# validated directions, their frames and antipodes, by the bytes of the
+# float array: the per-direction checks meet the same few directions many
+# times.  A full memo is emptied in one call.
 DIRECTION_MEMO_MAX = 1024
 _DIRECTION_MEMO = {}
 
 
 def _direction(u, dim):
-    """``_unit(u, dim)`` and its ``_frame``, memoized by (dim, shape, bytes)
-    of u as a float array: a hit returns the tuples a miss computes from
-    the same bytes.  Only validated directions are stored, so invalid input
-    raises on every call."""
+    """``_unit(u, dim)``, its ``_frame`` and -u, memoized by (dim, shape,
+    bytes) of u as a float array: a hit returns the tuples a miss computes
+    from the same bytes.  Only validated directions are stored, so invalid
+    input raises on every call."""
     a = np.asarray(u, dtype=float)
     key = (dim, a.shape, a.tobytes())
     hit = _DIRECTION_MEMO.get(key)
     if hit is None:
         u = _unit(a, dim)
-        hit = u, _frame(u)
+        hit = u, _frame(u), tuple(map(operator.neg, u))
         if len(_DIRECTION_MEMO) >= DIRECTION_MEMO_MAX:
             _DIRECTION_MEMO.clear()
         _DIRECTION_MEMO[key] = hit
@@ -752,18 +751,18 @@ class ConvexBody:
 
     def _gauge_bounds(self, pts):
         """Lower bound of each row's gauge, the grid index of its normal,
-        and whether the row is open: whether a membership test refines it.
-        In 2D the point's grid cell bounds the gauge from both sides
+        whether the row is open (a membership test refines it), and its
+        cell.  In 2D the point's grid cell bounds the gauge from both sides
         (``_gauge_bracket``), and a row is open when the bounds do not decide
         gauge <= 1 + MEMBERSHIP_TOL; in 3D the coarse scan gives the bound,
-        and a row is open within GAUGE_REFINE_MARGIN of 1."""
+        a row is open within GAUGE_REFINE_MARGIN of 1, and cells are ()."""
         if self.dim == 2:
-            g, idx, hi = self._gauge_bracket(pts)
+            g, idx, hi, cell = self._gauge_bracket(pts)
             # a NaN upper bound decides nothing
             return g, idx, (g <= 1.0 + MEMBERSHIP_TOL) & \
-                ~(hi <= 1.0 + MEMBERSHIP_TOL)
+                ~(hi <= 1.0 + MEMBERSHIP_TOL), cell
         g, idx = self._gauge_coarse(pts)
-        return g, idx, np.abs(g - 1.0) < GAUGE_REFINE_MARGIN
+        return g, idx, np.abs(g - 1.0) < GAUGE_REFINE_MARGIN, ()
 
     def _gauge_bracket(self, pts):
         """Certified bounds lo <= gauge <= hi of 2D points, from one cell each.
@@ -774,16 +773,18 @@ class ConvexBody:
         gauge: that is lo, the full scan's maximum.  The chord X_i X_{i+1}
         lies in K, so its gauge is hi.  The maximizing normal lies between
         u_i and u_{i+1}; idx is the grid index of the better one.  Every
-        kind's X_i are closed forms, so hi holds to rounding.
-        """
+        kind's X_i are closed forms, so hi holds to rounding.  The cells
+        (k, psi) of ``_gauge_cell`` come last, for ``_gauge_start``."""
         _, order, (ux, uy, vx, vy, wx, wy), _, _ = self._gauge_cells()
         x, y = pts[:, 0], pts[:, 1]
-        i = order[self._gauge_cell(x, y)[0]]
+        cell = self._gauge_cell(x, y)
+        i = order[cell[0]]
         gi = x * ux.take(i) + y * uy.take(i)
         gj = x * vx.take(i) + y * vy.take(i)
         idx = i + (gj > gi)
         idx[idx == len(ux)] = 0
-        return np.maximum(gi, gj), idx, x * wx.take(i) + y * wy.take(i)
+        return (np.maximum(gi, gj), idx, x * wx.take(i) + y * wy.take(i),
+                cell)
 
     def _gauge_coarse(self, pts):
         """Largest 3D grid ratio <p, u> / H(u) per row, and its grid index.
@@ -806,29 +807,29 @@ class ConvexBody:
             g[a:b] = ratios[rows[:b - a], idx[a:b]]
         return g, idx
 
-    def _gauge_refine(self, pts, idx, g0):
+    def _gauge_refine(self, pts, idx, g0, cell):
         """Gauges of the rows of pts, refined from their grid bounds g0 with
-        grid normals idx until they decide membership, and their
+        grid normals idx and cells until they decide membership, and their
         directions: ``contains`` refines the rows its bounds leave open, each
         on its own.  3D converges each row.  In 2D a row stops once certified
         bounds decide gauge <= 1 + MEMBERSHIP_TOL, and its value is the
         deciding bound, so ``_inside`` reads the converged verdict."""
         level = 1.0 + MEMBERSHIP_TOL if self.dim == 2 else None
         return _support_ratio_search(self, SupportRows(pts),
-                                     self._gauge_start(pts, idx), g0,
+                                     self._gauge_start(idx, cell), g0,
                                      len(self._gauge_grid()[0]), level)
 
     def _gauge_exact(self, pts):
         """Exact gauges of the rows of pts and their maximizing directions:
         each row is converged from its grid bound."""
-        g0, idx, _ = self._gauge_bounds(pts)
+        g0, idx, _, cell = self._gauge_bounds(pts)
         return support_ratio_max(self, SupportRows(pts),
-                                 self._gauge_start(pts, idx), g0,
+                                 self._gauge_start(idx, cell), g0,
                                  len(self._gauge_grid()[0]))
 
-    def _gauge_start(self, pts, idx):
-        """Where the sphere search for the gauges of the rows of pts starts,
-        given their grid normals idx.
+    def _gauge_start(self, idx, cell):
+        """Where the sphere search for the gauges of rows starts, given their
+        grid normals idx and their cells (k, psi) from ``_gauge_bracket``.
 
         In 2D a row whose cell passes the Fritsch-Carlson test starts at
         the Hermite interpolant of theta(phi) at its polar angle psi, from
@@ -841,7 +842,7 @@ class ConvexBody:
         if self.dim == 3:
             return U[idx]
         _, order, _, _, (ends, alpha, beta) = self._gauge_cells()
-        k, psi = self._gauge_cell(pts[:, 0], pts[:, 1])
+        k, psi = cell
         # t in [0, 1] across the cell, and s the interpolant's share of the
         # cell's normal angles; a rejected cell's NaN slopes, and a NaN
         # psi, fail the test s in [0, 1] silently
@@ -871,9 +872,9 @@ class ConvexBody:
         rows they leave open (``_gauge_refine``); each row is decided on
         its own, so stacked point sets get the stacked verdicts."""
         p = _point_rows(pts)
-        inside, m, idx, g = self._membership_bounds(p)
+        inside, m, idx, g, cell = self._membership_bounds(p)
         if len(m):
-            inside[m] = _inside(self._gauge_refine(p[m], idx, g)[0])
+            inside[m] = _inside(self._gauge_refine(p[m], idx, g, cell)[0])
         return inside
 
     def _sweep_sandwich(self):
@@ -891,7 +892,7 @@ class ConvexBody:
 
     def _membership_bounds(self, p):
         """Verdicts of the rows of p by bounds alone, the rows they leave
-        open, and those rows' grid indices and lower bounds.  In 2D the
+        open, and those rows' grid indices, lower bounds and cells.  In 2D the
         ellipse sandwich of ``_gauge_cells`` decides the rows well inside or
         outside it, and only the rows between reach ``_gauge_bounds``; a
         row the sandwich decides is one the bracket decides the same way, so
@@ -901,19 +902,19 @@ class ConvexBody:
             self._gauge_cells()  # builds the sandwich with the cells
             sandwich = self._sandwich
         if sandwich is None:
-            g, idx, m = self._gauge_bounds(p)
+            g, idx, m, cell = self._gauge_bounds(p)
             m = np.flatnonzero(m)
-            return _inside(g), m, idx[m], g[m]
+            return _inside(g), m, idx[m], g[m], tuple(c[m] for c in cell)
         Minv, q_in, q_out = _sandwich_levels(sandwich)
         with np.errstate(invalid="ignore"):  # inf - inf in a row's Q
             Q = _quadratic_form(p, Minv)
         inside = Q <= q_in
         # a NaN row is outside, as its NaN bracket says
         rest = np.flatnonzero((Q > q_in) & (Q <= q_out))
-        g, idx, m = self._gauge_bounds(p.take(rest, axis=0))
+        g, idx, m, cell = self._gauge_bounds(p.take(rest, axis=0))
         inside[rest] = _inside(g)
         m = np.flatnonzero(m)
-        return inside, rest[m], idx[m], g[m]
+        return inside, rest[m], idx[m], g[m], tuple(c[m] for c in cell)
 
     def __repr__(self):
         return f"{self.__class__.__name__}(dim={self.dim})"
@@ -1340,7 +1341,9 @@ class ReuleauxTriangle2D(_ClosedGauge, _Theta2DBody):
 
 def _block_sum(A, B):
     """Entries of the tangent block of a Minkowski sum: R_A + R_B."""
-    return tuple(map(operator.add, A, B))
+    if len(A) == 1:
+        return (A[0] + B[0],)
+    return (A[0] + B[0], A[1] + B[1], A[2] + B[2])
 
 
 class MinkowskiSum(ConvexBody):
@@ -1480,9 +1483,9 @@ class CurvatureData:
 
 # ``curvature_many``'s algebra on the entries of a stack of tangent blocks,
 # (r11,) or (r11, r12, r22), each an array.  For a single direction the
-# scalar ``_curvature`` fuses the same arithmetic and comparisons into one
-# routine; TestCurvatureMany::test_rows_equal_curvature_bit_for_bit pins
-# the two paths to each other.
+# scalar ``_shape_operator`` fuses the same arithmetic and comparisons into
+# one routine; TestCurvatureMany::test_rows_equal_curvature_bit_for_bit
+# pins the two paths to each other.
 
 def _det(R):
     return R[0] if len(R) == 1 else R[0] * R[2] - R[1] * R[1]
@@ -1516,9 +1519,9 @@ def _block_matrix(R):
     return M if M.ndim == 2 else np.moveaxis(M, -1, 0)
 
 
-def _curvature(R, u):
-    """Entries of R and S = R^-1, and kappa = det S, from the entries R of
-    a tangent block at the direction u (a tuple of floats).  Raises
+def _shape_operator(R, u):
+    """Entries of S = R^-1 from the entries R of a tangent block at the
+    direction u (a tuple of floats): (s11,) or (s11, s12, s22).  Raises
     SingularCurvature where the data is degenerate (see ``curvature``).
 
     The finiteness test, det R, the comparisons of ``_degenerate`` in its
@@ -1532,7 +1535,7 @@ def _curvature(R, u):
             raise _singular(u)
         if r11 < 1e-12 or r11 < 1e-12 * abs(r11):
             raise _singular(u, r11)
-        return R, (1.0 / r11,), 1.0 / r11
+        return (1.0 / r11,)
     r11, r12, r22 = R
     if not (math.isfinite(r11) and math.isfinite(r12) and math.isfinite(r22)):
         raise _singular(u)
@@ -1540,11 +1543,11 @@ def _curvature(R, u):
     if det_r < 1e-12 or det_r < 1e-12 * (r11 * r11) or \
             det_r < 1e-12 * (r12 * r12) or det_r < 1e-12 * (r22 * r22):
         raise _singular(u, det_r)
-    return R, (r22 / det_r, -r12 / det_r, r11 / det_r), 1.0 / det_r
+    return (r22 / det_r, -r12 / det_r, r11 / det_r)
 
 
 def _singular(u, det_r=None):
-    """``_curvature``'s error at u: non-finite data, or else det R."""
+    """``_shape_operator``'s error at u: non-finite data, or else det R."""
     if det_r is None:
         return SingularCurvature(f"support Hessian not finite at u={u}",
                                  direction=np.array(u))
@@ -1557,7 +1560,7 @@ def _direction_frame(u, dim, frame):
     """The validated u and the columns of its frame: the memoized
     ``tangent_frame`` when frame is None, else the caller's, checked."""
     if frame is None:
-        return _direction(u, dim)
+        return _direction(u, dim)[:2]
     u = _unit(u, dim)
     return u, _frame_columns(frame, u)
 
@@ -1583,9 +1586,9 @@ def curvature(body, u, frame=None):
     body's tangent block; the frame is as in ``reverse_weingarten``.
     """
     u, E = _direction_frame(u, body.dim, frame)
-    R, S, kappa = _curvature(body._tangent_block(u, E), u)
+    R = body._tangent_block(u, E)
     return CurvatureData(np.array(u), _frame_matrix(E), _block_matrix(R),
-                         _block_matrix(S), kappa)
+                         _block_matrix(_shape_operator(R, u)), 1.0 / _det(R))
 
 
 def curvature_many(body, U):

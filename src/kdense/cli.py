@@ -15,7 +15,7 @@ import numpy as np
 from . import analysis, asymptotics, measure
 from .bodies import (Ball, boundary_points, curvature_many, difference_body,
                      sphere_directions)
-from .config import ConfigError, direction_from, load_config
+from .config import MIN_QMC_POINTS, ConfigError, direction_from, load_config
 from .errors import (DegenerateFit, FlatContact, NonUniqueContact,
                      SingularCurvature)
 from .oracles import ball_lens_volume, disk_lens_area
@@ -311,8 +311,8 @@ def main(argv=None):
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--seed", type=_int_at_least(0), default=None,
                        help="seed override")
-        p.add_argument("--samples", type=_int_at_least(1), default=None,
-                       help="qmc point-count override")
+        p.add_argument("--samples", type=_int_at_least(MIN_QMC_POINTS),
+                       default=None, help="qmc point-count override")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)

@@ -15,6 +15,7 @@ from .errors import ConfigError
 BODY_KINDS = ("ball", "ellipsoid", "superellipse", "fourier", "reuleaux",
               "difference", "dilate", "translate", "reflect", "minkowski_sum")
 EXPERIMENT_KINDS = ("kdense", "asymptotic", "petty", "identities", "report")
+MIN_QMC_POINTS = 256  # below it a QMC error budget outgrows any spread
 
 
 class BodySpec:
@@ -127,10 +128,10 @@ def load_config(path):
 def _validate_experiment(spec):
     if spec.get("body") is None:
         raise ConfigError(f"experiment {spec.name}: missing key 'body'")
-    # error budgets need two replicates, a spread 8 boundary points and a
-    # power-law fit 4 ladder rungs
+    # error budgets need two replicates and MIN_QMC_POINTS points, a spread
+    # 8 boundary points and a power-law fit 4 ladder rungs
     least = {"replicates": 2, "points": 8 if spec.kind == "kdense" else 1,
-             "rungs": 4}
+             "rungs": 4, "qmc_points": MIN_QMC_POINTS}
     for key in ("points", "qmc_points", "replicates", "directions", "rungs",
                 "halfvolume_points"):
         if key in spec.options and spec.get_int(key, 0) < least.get(key, 1):

@@ -8,15 +8,16 @@ import pytest
 
 from kdense import measure
 from kdense.analysis import (SpreadReport, _harmonic_compose,
-                             curvature_symmetry_check,
+                             _is_positive_definite, curvature_symmetry_check,
                              halfvolume_condition_check, k_equals_2g_check,
                              kdense_spread, kp1_check, krantz_parks_check,
                              petty_check, symmetry_center, touch_point,
                              touch_points)
 from kdense.bodies import (GAUGE_GRID_2D, GAUGE_GRID_3D, Ball, Ellipsoid,
-                           FourierBody2D, ReuleauxTriangle2D,
+                           FourierBody2D, MinkowskiSum, ReuleauxTriangle2D,
                            Superellipse2D, boundary_points, curvature,
-                           difference_body, sphere_directions, tangent_frame)
+                           difference_body, reverse_weingarten,
+                           sphere_directions, tangent_frame)
 from kdense.errors import NonUniqueContact, SingularCurvature
 
 from finite_difference import FiniteDifference
@@ -350,6 +351,61 @@ class TestShapeOperatorIdentities:
                     except (SingularCurvature, ValueError) as e:
                         outcomes.append(repr(e))
                 assert outcomes[0] == outcomes[1] == outcomes[2], (G, u)
+
+    @staticmethod
+    def _outcome(check, *args):
+        try:
+            return check(*args)
+        except (SingularCurvature, ValueError) as e:
+            return repr(e)
+
+    @staticmethod
+    def _entries(S):
+        """(s11,) or (s11, s12, s22) of a shape operator matrix."""
+        return tuple(S[np.triu_indices(len(S))].tolist())
+
+    @classmethod
+    def _composed_sum_residual(cls, A, B, u):
+        S_A = curvature(A, u).S
+        S_B = curvature(B, u).S
+        S_AB = curvature(MinkowskiSum(A, B), u).S
+        H = _harmonic_compose(cls._entries(S_A), cls._entries(S_B))
+        return math.hypot(*(S_AB.ravel() - H).tolist())
+
+    @classmethod
+    def _composed_kp1_residual(cls, G, u):
+        # G at -u in the frame of u, as the identity compares them
+        S_K = curvature(difference_body(G), u).S
+        S_Gu = curvature(G, u).S
+        S_Gmu = curvature(G, -u, frame=reverse_weingarten(G, u)[1]).S
+        H = _harmonic_compose(cls._entries(S_Gu), cls._entries(S_Gmu))
+        if not _is_positive_definite(cls._entries(S_Gu - S_K)):
+            raise ValueError("S_G(u) - S_K(u) is not positive definite")
+        return math.hypot(*(S_K.ravel() - H).tolist())
+
+    def test_checks_equal_residuals_composed_from_curvature(self):
+        # the per-direction checks' scalar kernel gives the bits of the
+        # documented curvature(...).S, and raises its errors in order
+        rng = np.random.default_rng(29)
+        pairs = [(_random_ellipsoid(rng, dim), _random_ellipsoid(rng, dim))
+                 for dim in (2, 3) for _ in range(3)]
+        for G in (FourierBody2D([1.0, 0.0, 0.0, 0.1]), Superellipse2D(4.0),
+                  ReuleauxTriangle2D(1.0)):
+            E = _random_ellipsoid(rng, 2)
+            pairs += [(G, E), (E, G)]
+        raised = 0
+        for A, B in pairs:
+            axes = np.eye(A.dim)
+            U = np.vstack([sphere_directions(A.dim, 24), axes, -axes])
+            for u in U:
+                sum_check = self._outcome(krantz_parks_check, A, B, u)
+                kp1 = self._outcome(kp1_check, A, u)
+                assert sum_check == self._outcome(
+                    self._composed_sum_residual, A, B, u), (A, B, u)
+                assert kp1 == self._outcome(
+                    self._composed_kp1_residual, A, u), (A, u)
+                raised += isinstance(sum_check, str) + isinstance(kp1, str)
+        assert raised > 0
 
     def test_singular_and_invalid_inputs_raise(self):
         # cli.run_identities reports a SingularCurvature as a skipped row

@@ -110,8 +110,8 @@ class TestDirections:
 
 
 class TestDirectionMemo:
-    """``_direction``: validated unit tuples and frames, memoized by the
-    bytes of the float array."""
+    """``_direction``: validated unit tuples, their frames and antipodes,
+    memoized by the bytes of the float array."""
 
     @pytest.fixture(autouse=True)
     def empty_memo(self):
@@ -120,8 +120,8 @@ class TestDirectionMemo:
         bodies._DIRECTION_MEMO.clear()
 
     @staticmethod
-    def _bits(u, E):
-        return np.array(u).tobytes(), np.array(E).tobytes()
+    def _bits(*parts):
+        return tuple(np.array(a).tobytes() for a in parts)
 
     @staticmethod
     def _rows(dim, n):
@@ -151,7 +151,7 @@ class TestDirectionMemo:
         for dim in (2, 3):
             for u in self._inputs(dim):
                 v = _unit(u, dim)
-                expect = self._bits(v, _frame(v))
+                expect = self._bits(v, _frame(v), [-c for c in v])
                 bodies._DIRECTION_MEMO.clear()
                 miss = _direction(u, dim)
                 hit = _direction(u, dim)
@@ -1267,9 +1267,9 @@ class TestContains:
             assert not K._gauge_bounds(sets[2])[2].any()
             rows = []
 
-            def counting(pts, idx, g0, _orig=K._gauge_refine):
+            def counting(pts, idx, g0, cell, _orig=K._gauge_refine):
                 rows.append(len(pts))
-                return _orig(pts, idx, g0)
+                return _orig(pts, idx, g0, cell)
 
             monkeypatch.setattr(K, "_gauge_refine", counting)
             K.contains(P)
@@ -1332,7 +1332,7 @@ class TestGaugeBracket:
         rng = np.random.default_rng(11)
         for K, closed, tol in self._bodies():
             P = self._points(K, rng)
-            lo, _, hi = K._gauge_bracket(P)
+            lo, _, hi, _ = K._gauge_bracket(P)
             # the base method: Dilate forwards its own gauge
             g = (ConvexBody.gauge_many(K, P) if closed is None
                  else closed(P))
@@ -1344,7 +1344,7 @@ class TestGaugeBracket:
         rng = np.random.default_rng(12)
         for K, _, _ in self._bodies():
             P = self._points(K, rng)
-            lo, idx, _ = K._gauge_bracket(P)
+            lo, idx, _, _ = K._gauge_bracket(P)
             _, _, Uh = K._gauge_grid()
             ratios = P @ Uh.T
             full = ratios.max(axis=1)
@@ -1359,9 +1359,9 @@ class TestGaugeBracket:
         rng = np.random.default_rng(13)
         for K, _, _ in self._bodies():
             P = 2.0 * rng.normal(size=(2000, 2))
-            lo, idx, _ = K._gauge_bracket(P)
+            lo, idx, _, cell = K._gauge_bracket(P)
             want = support_ratio_max(K, SupportRows(P),
-                                     K._gauge_start(P, idx), lo,
+                                     K._gauge_start(idx, cell), lo,
                                      len(K._gauge_grid()[0]))
             got = ConvexBody._gauge_exact(K, P)
             assert np.array_equal(got[0], want[0]), K
@@ -1398,8 +1398,8 @@ class TestGaugeBracket:
         for K, psi in ((R, around), (E200, tips)):
             P = np.column_stack([np.cos(psi), np.sin(psi)])
             phi, order, _, _, (_, alpha, _) = K._gauge_cells()
-            _, idx, _ = K._gauge_bracket(P)
-            k = K._gauge_cell(P[:, 0], P[:, 1])[0]
+            _, idx, _, cell = K._gauge_bracket(P)
+            k = cell[0]
             rejected = np.isnan(alpha[k])
             U = K._gauge_grid()[0]
             if K is R:
@@ -1412,7 +1412,7 @@ class TestGaugeBracket:
                 # the guard rejects cells only near the tips
                 assert np.all(np.abs(np.sin(phi[np.isnan(alpha)])) < 1e-2)
             assert rejected.any() and not rejected.all(), K
-            start = K._gauge_start(P, idx)
+            start = K._gauge_start(idx, cell)
             assert np.array_equal(start[rejected], U[idx[rejected]]), K
             assert not np.any(start[~rejected] == U[idx[~rejected]]), K
 
@@ -1482,11 +1482,12 @@ class TestEllipseSandwich:
     @staticmethod
     def _bracket_verdicts(K, P):
         """Membership by the chord bracket and the sphere search alone."""
-        g, idx, m = ConvexBody._gauge_bounds(K, P)
+        g, idx, m, cell = ConvexBody._gauge_bounds(K, P)
         inside = g <= 1.0 + TestEllipseSandwich.TOL
         m = np.flatnonzero(m)
         if len(m):
-            g_m = K._gauge_refine(P[m], idx[m], g[m])[0]
+            g_m = K._gauge_refine(P[m], idx[m], g[m],
+                                  tuple(c[m] for c in cell))[0]
             inside[m] = g_m <= 1.0 + TestEllipseSandwich.TOL
         return inside
 
@@ -1638,13 +1639,14 @@ class TestSearchStopsOnBounds:
         monkeypatch.setattr(bodies, "_optimality_residual", counting)
         for j, K in enumerate(self._bodies()):
             P = self._rows(K, 1e-8)
-            g, idx, m = ConvexBody._gauge_bounds(K, P)
+            g, idx, m, cell = ConvexBody._gauge_bounds(K, P)
             P, idx, g = P[m], idx[m], g[m]
+            cell = tuple(c[m] for c in cell)
             del steps[:]
-            K._gauge_refine(P, idx, g)
+            K._gauge_refine(P, idx, g, cell)
             member = list(steps)
             del steps[:]
-            support_ratio_max(K, SupportRows(P), K._gauge_start(P, idx), g,
+            support_ratio_max(K, SupportRows(P), K._gauge_start(idx, cell), g,
                               len(K._gauge_grid()[0]))
             assert len(member) <= len(steps), K
             assert sum(member) < sum(steps), K

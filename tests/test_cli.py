@@ -13,7 +13,7 @@ from kdense.bodies import (Ball, ConvexBody, Dilate, FourierBody2D,
                            ReuleauxTriangle2D, curvature, difference_body,
                            sphere_directions)
 from kdense.cli import main, run
-from kdense.config import load_config
+from kdense.config import MIN_QMC_POINTS, load_config
 from kdense.errors import SingularCurvature
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -470,6 +470,34 @@ qmc_points = 1024
         assert "config error" in err and line.split()[0] in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, points", [
+        ("kdense", 2), ("kdense", MIN_QMC_POINTS - 1), ("report", 2)])
+    def test_too_few_qmc_points_rejected(self, tmp_path, capsys, kind,
+                                         points):
+        # 2 points read constant at a spread of 1.0: their budget exceeded
+        # any spread
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"""
+[body d]
+kind = ellipsoid
+semiaxes = 2.0 1.0
+
+[experiment x]
+kind = {kind}
+body = d
+qmc_points = {points}
+""")
+        out = tmp_path / "o"
+        assert main(["verify", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "'qmc_points'" in err
+        assert f"at least {MIN_QMC_POINTS}" in err
+        assert not out.exists()
+        # the floor itself is accepted
+        cfg.write_text(cfg.read_text().replace(
+            f"qmc_points = {points}", f"qmc_points = {MIN_QMC_POINTS}"))
+        load_config(str(cfg))
+
     def test_shipped_config_with_one_replicate_rejected(self, tmp_path,
                                                         capsys):
         text = pathlib.Path(SHIPPED).read_text()
@@ -511,7 +539,8 @@ of = d
         assert R.support([1.0, 0.0]) == cfg.body("d").support([-1.0, 0.0])
 
     @pytest.mark.parametrize("flag, value", [
-        ("--seed", "-1"), ("--samples", "-5"), ("--samples", "0")])
+        ("--seed", "-1"), ("--samples", "-5"), ("--samples", "0"),
+        ("--samples", "2"), ("--samples", str(MIN_QMC_POINTS - 1))])
     def test_bad_seed_or_sample_flag_rejected(self, tmp_path, capsys, flag,
                                               value):
         # argparse's usage error, before any run and with no traceback

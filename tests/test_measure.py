@@ -274,6 +274,20 @@ class TestSobol:
             env=env, capture_output=True, text=True, check=True)
         assert out.stdout.splitlines()[-1] == "0 [[], [], []]"
 
+    def test_import_does_not_load_the_cli(self):
+        # a library caller compiles only what the import pulls in: the CLI,
+        # the config reader and their parsers come with kdense.cli alone
+        src = os.path.dirname(os.path.dirname(kdense.__file__))
+        prog = """if True:
+            import sys, kdense
+            print([m for m in ("kdense.cli", "kdense.config", "configparser",
+                               "argparse") if m in sys.modules])
+            """
+        out = subprocess.run([sys.executable, "-c", prog],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "[]"
+
     def test_source_imports_no_scipy_numpy_random_or_threads(self):
         # the run above sees only the paths a verify run takes; this reads
         # every import in the package, also those inside functions, and
@@ -447,9 +461,9 @@ class TestPrunedPredicates:
         K = difference_body(G)
         rows = []
 
-        def counting(pts, idx, g0, _orig=K._gauge_refine):
+        def counting(pts, idx, g0, cell, _orig=K._gauge_refine):
             rows.append(len(pts))
-            return _orig(pts, idx, g0)
+            return _orig(pts, idx, g0, cell)
 
         monkeypatch.setattr(K, "_gauge_refine", counting)
         kdense_spread(G, K, 0.5, m=16, n=self.N, replicates=4, seed=0)
